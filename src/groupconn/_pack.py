@@ -133,11 +133,8 @@ class Packer:
                 out.append(t - _U(f) * (fix >> _U(3)))
         return tuple(out)
 
-    def sub(self, x, y) -> tuple:
-        return self.add(x, self.neg(y))
-
-    def all_nonzero(self, x):
-        """Boolean (array): every one of the `length` lanes holds a nonzero element."""
+    def nonzero_lanes(self, x):
+        """Word (array) with the low bit of each lane set where that lane is nonzero."""
         folded = None
         for j, _f in enumerate(self.group.factors):
             b, off, *_ = self._masks[j]
@@ -146,7 +143,11 @@ class Packer:
                 y = y | (x[j] >> _U(off + s))
             y = y & _U(self.lane_ones)
             folded = y if folded is None else (folded | y)
-        return folded == _U(self.lane_ones)
+        return folded
+
+    def all_nonzero(self, x):
+        """Boolean (array): every one of the `length` lanes holds a nonzero element."""
+        return self.nonzero_lanes(x) == _U(self.lane_ones)
 
     # -- dense key conversion -------------------------------------------------
 
@@ -169,9 +170,3 @@ class Packer:
                 radix *= f
             out = e if out is None else out * _U(k) + e
         return out if out is not None else _U(0)
-
-    def lane_constant(self, lane: int, value: int) -> tuple:
-        """Packed vector with `value` in one lane and zero elsewhere."""
-        vec = [0] * self.length
-        vec[lane] = value
-        return self.pack(vec)

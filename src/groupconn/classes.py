@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .flows import EdgeVector, SpanningStructure, flow_from_nontree, spanning_structure
-from .graphs import Digraph, Thread, thread_profile
+from .flows import EdgeVector, flow_from_nontree, spanning_structure
+from .graphs import Digraph, thread_profile
 from .groups import Group
 
 NULL = None  # classify() returns None for throw-away classes
@@ -156,19 +156,3 @@ class ClassFunction:
             if self.classify(self.representative(key)) == key:
                 canonical += 1
         return self.total_keys, canonical
-
-
-def tree_normalize(cf: ClassFunction, h: Sequence[int]) -> EdgeVector:
-    return cf.tree_normalize(h)
-
-
-def classify(cf: ClassFunction, h: Sequence[int]) -> Optional[int]:
-    return cf.classify(h)
-
-
-def representative(cf: ClassFunction, key: int) -> EdgeVector:
-    return cf.representative(key)
-
-
-def count_classes(cf: ClassFunction) -> tuple[int, int]:
-    return cf.count_classes()

@@ -5,7 +5,8 @@ flow existence), ``certify`` (check a NO-certificate), ``flows``
 (inspect the flow space), ``search`` (discrepancy search over
 subdivisions).  stdout carries machine-parseable JSON only; summaries go
 to stderr.  Exit codes: 0 = positive answer / clean completion, 1 =
-negative answer, 2 = usage or input error.
+negative answer, 2 = any error (usage, input, or an internal failure).
+``test --algo auto`` leaves the engine choice to ``solver.decide``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ import json
 import sys
 from typing import Optional
 
-from .flows import all_flows, spanning_structure
+from .flows import all_flows, find_satisfying_flow, spanning_structure
 from .graphs import Digraph, GraphParseError, parse_graph
 from .groups import Group, parse_group
 from .search import SearchConfig, load_bases, run_search
-from .solver import Verdict, decide, exists_nowhere_zero_flow, verify_certificate
-from .flows import find_satisfying_flow
+from .solver import decide, exists_nowhere_zero_flow, verify_certificate
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -66,10 +66,7 @@ def _parse_added(spec: str) -> range:
 def cmd_test(args) -> int:
     g = _load_graph(args.graph, args.format)
     group = _load_group(args.group)
-    algo = args.algo
-    if algo == "auto":
-        algo = "ultra" if g.m <= 8 else ("naive" if g.m <= 12 else "fast")
-    verdict = decide(g, group, algo, use_preprocessing=not args.no_preprocess)
+    verdict = decide(g, group, args.algo, use_preprocessing=not args.no_preprocess)
     print(verdict.to_json())
     word = "is" if verdict.connected else "is NOT"
     print(f"{args.graph}: {word} {group.spec_string()}-connected ({verdict.algorithm})", file=sys.stderr)
@@ -143,8 +140,10 @@ def cmd_flows(args) -> int:
 
 
 def cmd_search(args) -> int:
-    group_a = _load_group(args.groups.split(",")[0])
-    group_b = _load_group(args.groups.split(",")[1])
+    specs = args.groups.split(",")
+    if len(specs) != 2:
+        raise CliError(f"--groups takes exactly two comma-separated group specs, got {len(specs)}")
+    group_a, group_b = (_load_group(spec) for spec in specs)
     try:
         bases = load_bases(args.bases)
     except (OSError, GraphParseError) as exc:
@@ -203,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--groups", required=True, help="two comma-separated group specs")
     sp.add_argument("--order", choices=["sequential", "random"], default="sequential")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=4096, help="NO-screen sample budget")
+    sp.add_argument("--budget", type=int, default=SearchConfig.screen_budget, help="NO-screen sample budget")
     sp.add_argument("--exact", action="store_true", help="full solves when screens are inconclusive")
     sp.add_argument("--distinct-edges", action="store_true", help="subdivide distinct edges only")
     sp.add_argument("--output", help="append witness NDJSON here instead of stdout")
@@ -222,12 +221,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_ERROR if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except Exception as exc:  # exit code 1 means NO, so no error may leave with it
+        import traceback  # only a failing run pays for the import
+
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

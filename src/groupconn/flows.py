@@ -9,7 +9,7 @@ enumeration strategy and the normal form used by the class machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graphs import Digraph
 from .groups import Group

@@ -7,7 +7,7 @@ smaller to the larger endpoint, which keeps certificates reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GraphParseError(ValueError):
@@ -361,60 +361,3 @@ def structure_report(g: Digraph) -> tuple[set[int], list[list[int]], set[int]]:
                     if low[v] > disc[pv]:
                         bridges.add(pe)
     return bridges, components, loops
-
-
-def edge_connectivity(g: Digraph) -> int:
-    """Minimum edge cut size via unit-capacity max-flow from vertex 0.
-
-    Returns 0 for disconnected or trivial graphs.  Intended for small
-    graphs (n <= 20 or so); loops are ignored.
-    """
-    if g.n <= 1:
-        return 0
-    _, components, loops = structure_report(g)
-    if len(components) > 1:
-        return 0
-    # Residual arcs: each undirected edge becomes two opposite unit arcs.
-    arcs: list[list[int]] = []  # [to, cap]; arc i paired with i^1
-    head: list[list[int]] = [[] for _ in range(g.n)]
-
-    def add_edge(u, v):
-        head[u].append(len(arcs))
-        arcs.append([v, 1])
-        head[v].append(len(arcs))
-        arcs.append([u, 1])
-
-    best = None
-    for t in range(1, g.n):
-        arcs.clear()
-        for lst in head:
-            lst.clear()
-        for i, (u, v) in enumerate(g.edges):
-            if i in loops:
-                continue
-            add_edge(u, v)
-        flow = 0
-        while True:
-            parent_arc = [-1] * g.n
-            parent_arc[0] = -2
-            queue = [0]
-            while queue:
-                v = queue.pop(0)
-                if v == t:
-                    break
-                for a in head[v]:
-                    to, cap = arcs[a]
-                    if cap > 0 and parent_arc[to] == -1:
-                        parent_arc[to] = a
-                        queue.append(to)
-            if parent_arc[t] == -1:
-                break
-            v = t
-            while v != 0:
-                a = parent_arc[v]
-                arcs[a][1] -= 1
-                arcs[a ^ 1][1] += 1
-                v = arcs[a ^ 1][0]
-            flow += 1
-        best = flow if best is None else min(best, flow)
-    return best or 0

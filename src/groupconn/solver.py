@@ -15,9 +15,15 @@ Three engines of increasing sophistication share the same contract:
   avoids, restricted further around edge 2-cuts, mark their class keys
   in a table, and sweep the table for an unmarked class.
 
+The first two share one packed enumerate-and-check loop and differ only
+in the edges whose values they enumerate: every edge, or the edges of a
+spanning tree.
+
 ``preprocess`` shrinks an instance with always-sound reductions (loops,
 bridges, short cycles, long threads) and knows how to lift certificates
-back to the original graph; ``decide`` glues everything together.
+back to the original graph; ``decide`` glues everything together.  It is
+also the one place that resolves ``algorithm="auto"``: ultra-naive when
+|G|^m <= 4^8, else naive when n <= 7, else fast.
 """
 
 from __future__ import annotations
@@ -36,10 +42,11 @@ from .flows import (
     SpanningStructure,
     find_satisfying_flow,
     flow_from_nontree,
+    has_nowhere_zero_flow,
     iter_flow_assignments,
     spanning_structure,
 )
-from .graphs import Digraph, structure_report, thread_profile
+from .graphs import CycleComponent, Digraph, Thread, structure_report, thread_profile
 from .groups import Group
 
 ULTRA_NAIVE_LIMIT = 10**8  # cap on |G|^m work items
@@ -128,6 +135,16 @@ class ReducedInstance:
         return tuple(cert)
 
 
+def _relabel(edges: list[tuple[int, int, int]]) -> ReducedComponent:
+    """Relabel (u, v, orig_id) edges onto vertices 0..n-1 and edges 0..m-1."""
+    verts = sorted({x for u, v, _ in edges for x in (u, v)})
+    vmap = {x: i for i, x in enumerate(verts)}
+    return ReducedComponent(
+        Digraph(len(verts), tuple((vmap[u], vmap[v]) for u, v, _ in edges)),
+        tuple(eid for _, _, eid in edges),
+    )
+
+
 def _relabel_components(edges: list[tuple[int, int, int]]) -> list[ReducedComponent]:
     """Split surviving (u, v, orig_id) edges into locally-labeled components."""
     parent: dict[int, int] = {}
@@ -143,33 +160,21 @@ def _relabel_components(edges: list[tuple[int, int, int]]) -> list[ReducedCompon
     buckets: dict[int, list[tuple[int, int, int]]] = {}
     for u, v, eid in edges:
         buckets.setdefault(find(u), []).append((u, v, eid))
-    out = []
-    for root in sorted(buckets):
-        comp = buckets[root]
-        verts = sorted({x for u, v, _ in comp for x in (u, v)})
-        vmap = {x: i for i, x in enumerate(verts)}
-        out.append(
-            ReducedComponent(
-                Digraph(len(verts), tuple((vmap[u], vmap[v]) for u, v, _ in comp)),
-                tuple(eid for _, _, eid in comp),
-            )
-        )
-    return out
+    return [_relabel(buckets[root]) for root in sorted(buckets)]
 
 
-@dataclass
-class _Cur:
-    graph: Digraph
-    orig: tuple[int, ...]
+def _pigeonhole(path: Thread | CycleComponent, group: Group, orig: tuple[int, ...]) -> dict[int, int]:
+    """Forbid j mod |G|, sign-normalized, on the j-th edge of a thread or cycle.
 
-
-def _current_digraph(edges: list[tuple[int, int, int]]) -> _Cur:
-    verts = sorted({x for u, v, _ in edges for x in (u, v)})
-    vmap = {x: i for i, x in enumerate(verts)}
-    return _Cur(
-        Digraph(len(verts), tuple((vmap[u], vmap[v]) for u, v, _ in edges)),
-        tuple(e for _, _, e in edges),
-    )
+    A flow carries one sign-normalized value along the whole path; with at
+    least |G| edges every value is forbidden on some edge, so no flow
+    avoids the mapping.
+    """
+    k = group.order
+    return {
+        orig[e]: j % k if sign > 0 else group.neg(j % k)
+        for j, (e, sign) in enumerate(zip(path.edge_ids, path.signs))
+    }
 
 
 def preprocess(g: Digraph, group: Group) -> ReducedInstance:
@@ -196,7 +201,8 @@ def preprocess(g: Digraph, group: Group) -> ReducedInstance:
 
     def early(partial: dict[int, int]) -> ReducedInstance:
         inst = ReducedInstance(g, group, (), None, tuple(forced), tuple(steps))
-        return ReducedInstance(g, group, (), inst.lift(partial), tuple(forced), tuple(steps))
+        inst.early_no = inst.lift(partial)
+        return inst
 
     while True:
         loops = [t for t in edges if t[0] == t[1]]
@@ -207,12 +213,12 @@ def preprocess(g: Digraph, group: Group) -> ReducedInstance:
         if not edges:
             break
 
-        cur = _current_digraph(edges)
+        cur = _relabel(edges)
         bridges, _, _ = structure_report(cur.graph)
         if bridges:
             b = min(bridges)
             steps.append("bridge found: not connected")
-            return early({cur.orig[b]: 0})
+            return early({cur.orig_edges[b]: 0})
 
         profile = thread_profile(cur.graph)
 
@@ -220,11 +226,7 @@ def preprocess(g: Digraph, group: Group) -> ReducedInstance:
             cyc = profile.cycle_components[0]
             if len(cyc.edge_ids) >= k:
                 steps.append(f"cycle component of length {len(cyc.edge_ids)} >= {k}: not connected")
-                partial = {}
-                for j, (e, sign) in enumerate(zip(cyc.edge_ids, cyc.signs)):
-                    v = j % k
-                    partial[cur.orig[e]] = v if sign > 0 else group.neg(v)
-                return early(partial)
+                return early(_pigeonhole(cyc, group, cur.orig_edges))
             steps.append(f"deleted cycle component of length {len(cyc.edge_ids)}")
             drop = set(cyc.edge_ids)
             edges = [t for i, t in enumerate(edges) if i not in drop]
@@ -234,17 +236,13 @@ def preprocess(g: Digraph, group: Group) -> ReducedInstance:
         if long_threads:
             t = long_threads[0]
             steps.append(f"thread of length {len(t)} >= {k}: not connected")
-            partial = {}
-            for j, (e, sign) in enumerate(zip(t.edge_ids, t.signs)):
-                v = j % k
-                partial[cur.orig[e]] = v if sign > 0 else group.neg(v)
-            return early(partial)
+            return early(_pigeonhole(t, group, cur.orig_edges))
 
         saturated = [t for t in profile.threads if len(t) == k - 1]
         if saturated:
             t = saturated[0]
             steps.append(f"deleted saturated thread of length {k - 1}")
-            forced.append(tuple((cur.orig[e], s) for e, s in zip(t.edge_ids, t.signs)))
+            forced.append(tuple((cur.orig_edges[e], s) for e, s in zip(t.edge_ids, t.signs)))
             drop = set(t.edge_ids)
             edges = [e for i, e in enumerate(edges) if i not in drop]
             continue
@@ -301,14 +299,15 @@ def _satisfied_mask(packer: Packer, flows: PackedCols, hs: PackedCols, need: str
     (satisfies almost everything on YES-like instances), then settle the
     stragglers one by one against the full flow space.  With
     ``need="first"`` the straggler phase stops at the first mapping
-    confirmed unsatisfied, which is all the enumeration loops use.
+    confirmed unsatisfied, which is all the enumeration and the screen use.
     """
     n = len(hs[0])
     total_flows = len(flows[0])
     out = np.zeros(n, dtype=bool)
     # flows with many nonzero lanes satisfy far more mappings (a flow must
     # be nonzero wherever the mapping is zero), so scan those first
-    order = np.argsort(-_nonzero_lane_counts(packer, flows), kind="stable")
+    lanes = np.bitwise_count(packer.nonzero_lanes(flows)).astype(np.int64)
+    order = np.argsort(-lanes, kind="stable")
     neg_hs = packer.neg(hs)
     scanned = 0
     idx = np.arange(n)
@@ -337,19 +336,6 @@ def _satisfied_mask(packer: Packer, flows: PackedCols, hs: PackedCols, need: str
     return out
 
 
-def _nonzero_lane_counts(packer: Packer, vecs: PackedCols) -> np.ndarray:
-    """Number of nonzero lanes in each packed vector."""
-    folded = None
-    for j in range(len(vecs)):
-        b, off, *_ = packer._masks[j]
-        y = vecs[j] >> np.uint64(off)
-        for s in range(1, b):
-            y = y | (vecs[j] >> np.uint64(off + s))
-        y = y & np.uint64(packer.lane_ones)
-        folded = y if folded is None else folded | y
-    return np.bitwise_count(folded).astype(np.int64)
-
-
 def _enumerate_packed(packer: Packer, tables: list[PackedCols], sizes: list[int], start: int, count: int) -> PackedCols:
     """Packed sums over a mixed-radix product of contribution tables.
 
@@ -376,26 +362,38 @@ def _unit_vectors(m: int, e: int, k: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+def _without_loops(g: Digraph) -> tuple[list[int], Digraph]:
+    """Ids of the non-loop edges of g, and g with its loops removed."""
+    core = [i for i, (u, v) in enumerate(g.edges) if u != v]
+    return core, Digraph(g.n, tuple(g.edges[i] for i in core))
+
+
+def _place(m: int, positions: Sequence[int], values: Sequence[int]) -> EdgeVector:
+    """Length-m edge vector with values[i] on edge positions[i], zero elsewhere."""
+    h = [0] * m
+    for e, v in zip(positions, values):
+        h[e] = v
+    return tuple(h)
+
+
 def verify_certificate(g: Digraph, group: Group, h: Sequence[int]) -> bool:
     """True when h is a valid NO-certificate: no flow avoids it everywhere."""
     if len(h) != g.m:
         raise ValueError("certificate length mismatch")
     for v in h:
         group.check(v)
-    core = [i for i, (u, v) in enumerate(g.edges) if u != v]
-    if len(core) != g.m:
-        # a flow puts arbitrary values on loops, so loops never block one
-        gg = Digraph(g.n, tuple(g.edges[i] for i in core))
-        return verify_certificate(gg, group, [h[i] for i in core])
+    # a flow puts arbitrary values on loops, so loops never block one
+    core, g = _without_loops(g)
+    h = tuple(h[i] for i in core)
     if g.m == 0:
         return False
     s = spanning_structure(g)
     packed = _packed_flows(g, group, s)
     if packed is not None:
         packer, flows = packed
-        hs = _pack_columns(packer, [tuple(h)])
+        hs = _pack_columns(packer, [h])
         return not bool(_satisfied_mask(packer, flows, hs)[0])
-    return find_satisfying_flow(g, group, tuple(h)) is None
+    return find_satisfying_flow(g, group, h) is None
 
 
 def _digits_of(index: int, k: int, width: int) -> list[int]:
@@ -408,6 +406,41 @@ def _digits_of(index: int, k: int, width: int) -> list[int]:
     return out
 
 
+def _first_unavoidable(
+    g: Digraph, group: Group, s: SpanningStructure, positions: Sequence[int], stats: dict
+) -> Optional[EdgeVector]:
+    """First mapping supported on `positions` that no flow of g avoids, or None.
+
+    Mappings run over every value assignment to the edges in `positions`
+    (zero elsewhere), in lexicographic order with positions[0] the most
+    significant digit.  Adds the number checked to stats["mappings_enumerated"].
+    """
+    if g.m == 0:
+        return None
+    k = group.order
+    packed = _packed_flows(g, group, s)
+    if packed is None:
+        for digits in iter_flow_assignments(group, len(positions)):
+            stats["mappings_enumerated"] += 1
+            h = _place(g.m, positions, digits)
+            if find_satisfying_flow(g, group, h) is None:
+                return h
+        return None
+    packer, flows = packed
+    tables = [_pack_columns(packer, _unit_vectors(g.m, e, k)) for e in positions]
+    sizes = [k] * len(positions)
+    total = k ** len(positions)
+    for start in range(0, total, CHUNK):
+        count = min(CHUNK, total - start)
+        hs = _enumerate_packed(packer, tables, sizes, start, count)
+        sat = _satisfied_mask(packer, flows, hs, need="first")
+        stats["mappings_enumerated"] += count
+        bad = np.flatnonzero(~sat)
+        if len(bad):
+            return _place(g.m, positions, _digits_of(start + int(bad[0]), k, len(positions)))
+    return None
+
+
 def solve_ultra_naive(g: Digraph, group: Group) -> Verdict:
     """Check every forbidden mapping against every flow.
 
@@ -418,41 +451,14 @@ def solve_ultra_naive(g: Digraph, group: Group) -> Verdict:
     t0 = time.perf_counter()
     if k**g.m > ULTRA_NAIVE_LIMIT:
         raise ValueError(f"|G|^m = {k}**{g.m} exceeds the ultra-naive limit")
-    core = [i for i, (u, v) in enumerate(g.edges) if u != v]
-    gg = Digraph(g.n, tuple(g.edges[i] for i in core))
+    core, gg = _without_loops(g)
     s = spanning_structure(gg)
-
     stats = {"mappings_enumerated": 0, "flows": k**s.rank}
-    total = k**gg.m
-    first_bad = None
-    packed = _packed_flows(gg, group, s) if gg.m else None
-    if packed is not None:
-        packer, flows = packed
-        tables = [_pack_columns(packer, _unit_vectors(gg.m, e, k)) for e in range(gg.m)]
-        sizes = [k] * gg.m
-        for start in range(0, total, CHUNK):
-            count = min(CHUNK, total - start)
-            hs = _enumerate_packed(packer, tables, sizes, start, count)
-            sat = _satisfied_mask(packer, flows, hs, need="first")
-            stats["mappings_enumerated"] += count
-            bad = np.flatnonzero(~sat)
-            if len(bad):
-                first_bad = start + int(bad[0])
-                break
-    elif gg.m:
-        for i, h in enumerate(iter_flow_assignments(group, gg.m)):
-            stats["mappings_enumerated"] += 1
-            if find_satisfying_flow(gg, group, h) is None:
-                first_bad = i
-                break
+    bad = _first_unavoidable(gg, group, s, range(gg.m), stats)
     stats["elapsed"] = time.perf_counter() - t0
-    if first_bad is None:
+    if bad is None:
         return Verdict(g, group, True, None, "ultra-naive", stats)
-    digits = _digits_of(first_bad, k, gg.m)
-    cert = [0] * g.m
-    for i, e in enumerate(core):
-        cert[e] = digits[i]
-    return Verdict(g, group, False, tuple(cert), "ultra-naive", stats)
+    return Verdict(g, group, False, _place(g.m, core, bad), "ultra-naive", stats)
 
 
 def solve_naive(g: Digraph, group: Group) -> Verdict:
@@ -471,39 +477,11 @@ def solve_naive(g: Digraph, group: Group) -> Verdict:
     if total > NAIVE_KEY_LIMIT:
         raise ValueError(f"|G|^(tree size) = {k}**{len(tree)} exceeds the naive limit")
     stats = {"classes_total": total, "mappings_enumerated": 0, "flows": k**s.rank}
-
-    first_bad = None
-    packed = _packed_flows(g, group, s) if g.m else None
-    if packed is not None:
-        packer, flows = packed
-        tables = [_pack_columns(packer, _unit_vectors(g.m, e, k)) for e in tree]
-        sizes = [k] * len(tree)
-        for start in range(0, total, CHUNK):
-            count = min(CHUNK, total - start)
-            hs = _enumerate_packed(packer, tables, sizes, start, count)
-            sat = _satisfied_mask(packer, flows, hs, need="first")
-            stats["mappings_enumerated"] += count
-            bad = np.flatnonzero(~sat)
-            if len(bad):
-                first_bad = start + int(bad[0])
-                break
-    elif g.m:
-        for i, digits in enumerate(iter_flow_assignments(group, len(tree))):
-            h = [0] * g.m
-            for pos, e in enumerate(tree):
-                h[e] = digits[pos]
-            stats["mappings_enumerated"] += 1
-            if find_satisfying_flow(g, group, tuple(h)) is None:
-                first_bad = i
-                break
+    bad = _first_unavoidable(g, group, s, tree, stats)
     stats["elapsed"] = time.perf_counter() - t0
-    if first_bad is None:
+    if bad is None:
         return Verdict(g, group, True, None, "naive", stats)
-    digits = _digits_of(first_bad, k, len(tree))
-    cert = [0] * g.m
-    for i, e in enumerate(tree):
-        cert[e] = digits[i]
-    return Verdict(g, group, False, tuple(cert), "naive", stats)
+    return Verdict(g, group, False, bad, "naive", stats)
 
 
 class FastInstance:
@@ -793,8 +771,7 @@ def screen_no(
 
 def exists_nowhere_zero_flow(g: Digraph, group: Group) -> bool:
     """Whether g has a flow avoiding zero on every non-loop edge."""
-    core = [i for i, (u, v) in enumerate(g.edges) if u != v]
-    gg = Digraph(g.n, tuple(g.edges[i] for i in core))
+    _, gg = _without_loops(g)
     if gg.m == 0:
         return True
     s = spanning_structure(gg)
@@ -802,9 +779,7 @@ def exists_nowhere_zero_flow(g: Digraph, group: Group) -> bool:
     if packed is not None:
         packer, flows = packed
         return bool(packer.all_nonzero(flows).any())
-    from .flows import has_nowhere_zero_flow
-
-    return has_nowhere_zero_flow(gg, group)
+    return has_nowhere_zero_flow(gg, group) is not None
 
 
 def decide(
@@ -816,9 +791,11 @@ def decide(
 ) -> Verdict:
     """Decide group connectivity of an arbitrary graph.
 
-    ``algorithm`` is one of "ultra", "naive", "fast", "auto".  Only the
-    ultra-naive engine supports ``use_preprocessing=False`` (it is the
-    oracle the preprocessing is validated against).
+    ``algorithm`` is one of "ultra", "naive", "fast", "auto".  "auto"
+    picks ultra-naive when |G|^m <= 4^8, else naive when n <= 7, else
+    fast, with m and n those of the input graph.  Only the ultra-naive
+    engine supports ``use_preprocessing=False`` (it is the oracle the
+    preprocessing is validated against).
     """
     t0 = time.perf_counter()
     if algorithm == "auto":

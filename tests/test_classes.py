@@ -3,14 +3,7 @@ import random
 
 import pytest
 
-from groupconn.classes import (
-    NULL,
-    ClassFunction,
-    classify,
-    count_classes,
-    representative,
-    tree_normalize,
-)
+from groupconn.classes import NULL, ClassFunction
 from groupconn.flows import all_flows, find_satisfying_flow, iter_flows
 from groupconn.graphs import Digraph, subdivide
 from groupconn.groups import Z2, Z3, Z4, Z2xZ2
@@ -39,7 +32,7 @@ def test_triangle_key_space():
     cf = ClassFunction(TRIANGLE, Z4)
     assert cf.total_keys == 16  # 4^(n-1) with n = 3
     assert cf.pair_threads == []
-    total, canonical = count_classes(cf)
+    total, canonical = cf.count_classes()
     assert (total, canonical) == (16, 16)  # no threads: nothing merged, no NULL
 
 
@@ -49,14 +42,14 @@ def test_theta_subdivided_counts():
     for group in (Z4, Z2xZ2):
         cf = ClassFunction(THETA_SUB, group)
         assert len(cf.pair_threads) == 1
-        total, canonical = count_classes(cf)
+        total, canonical = cf.count_classes()
         assert (total, canonical) == (16, 6)
 
 
 def test_no_degree2_all_keys_canonical():
     for g in (complete_graph(4), CUBE):
         cf = ClassFunction(g, Z2)
-        total, canonical = count_classes(cf)
+        total, canonical = cf.count_classes()
         assert total == canonical == 2 ** (g.n - 1)
 
 
@@ -65,19 +58,19 @@ def test_tree_normalize_zero_outside_tree():
     rng = random.Random(1)
     for _ in range(50):
         h = [rng.randrange(4) for _ in range(cf.graph.m)]
-        nh = tree_normalize(cf, h)
+        nh = cf.tree_normalize(h)
         assert all(nh[e] == 0 for e in cf.structure.nontree_edges)
 
 
 def test_tree_normalize_of_flow_is_zero():
     cf = ClassFunction(complete_graph(4), Z4)
     for f in itertools.islice(iter_flows(cf.graph, Z4), 64):
-        assert tree_normalize(cf, f) == (0,) * cf.graph.m
+        assert cf.tree_normalize(f) == (0,) * cf.graph.m
 
 
 def test_tree_normalize_constant_cycle():
     cf = ClassFunction(TRIANGLE, Z4)
-    assert tree_normalize(cf, (1, 1, 1)) == (0, 0, 0)
+    assert cf.tree_normalize((1, 1, 1)) == (0, 0, 0)
 
 
 def test_classify_equal_pair_is_null():
@@ -87,7 +80,7 @@ def test_classify_equal_pair_is_null():
     for a in range(4):
         h[t.edges[0]] = cf._signed(a, t.signs[0])
         h[t.edges[1]] = cf._signed(a, t.signs[1])
-        assert classify(cf, h) is NULL
+        assert cf.classify(h) is NULL
 
 
 def test_classify_swap_invariant():
@@ -96,7 +89,7 @@ def test_classify_swap_invariant():
     rng = random.Random(2)
     for _ in range(100):
         h = [rng.randrange(4) for _ in range(THETA_SUB.m)]
-        assert classify(cf, h) == classify(cf, cf.swap_thread(h, t))
+        assert cf.classify(h) == cf.classify(cf.swap_thread(h, t))
 
 
 def test_classify_flow_invariant():
@@ -104,9 +97,9 @@ def test_classify_flow_invariant():
         cf = ClassFunction(g, group)
         flows = all_flows(g, group)
         for h in all_mappings(g, group):
-            k = classify(cf, h)
+            k = cf.classify(h)
             for f in flows:
-                assert classify(cf, tuple(group.add(a, b) for a, b in zip(h, f))) == k
+                assert cf.classify(tuple(group.add(a, b) for a, b in zip(h, f))) == k
 
 
 def test_classify_satisfiability_congruence():
@@ -115,7 +108,7 @@ def test_classify_satisfiability_congruence():
         cf = ClassFunction(g, group)
         by_key = {}
         for h in all_mappings(g, group):
-            k = classify(cf, h)
+            k = cf.classify(h)
             if k is NULL:
                 continue
             sat = find_satisfying_flow(g, group, h) is not None
@@ -129,7 +122,7 @@ def test_null_domination():
     cf = ClassFunction(g, group)
     t = cf.pair_threads[0]
     for h in all_mappings(g, group):
-        if classify(cf, h) is not NULL:
+        if cf.classify(h) is not NULL:
             continue
         v0, _ = cf.thread_values(h, t)
         for w in range(group.order):
@@ -137,7 +130,7 @@ def test_null_domination():
                 continue
             h2 = list(h)
             h2[t.edges[1]] = cf._signed(w, t.signs[1])
-            if classify(cf, h2) is NULL:
+            if cf.classify(h2) is NULL:
                 continue
             if find_satisfying_flow(g, group, h2) is not None:
                 assert find_satisfying_flow(g, group, h) is not None
@@ -150,25 +143,25 @@ def test_canonical_round_trip():
     for g, group in ((THETA_SUB, Z4), (TRIANGLE, Z3), (complete_graph(4), Z2)):
         cf = ClassFunction(g, group)
         for key in range(cf.total_keys):
-            if classify(cf, representative(cf, key)) == key:
-                rep = representative(cf, key)
-                assert classify(cf, rep) == key
+            if cf.classify(cf.representative(key)) == key:
+                rep = cf.representative(key)
+                assert cf.classify(rep) == key
 
 
 def test_representative_key_zero():
     cf = ClassFunction(THETA_SUB, Z4)
-    assert representative(cf, 0) == (0,) * THETA_SUB.m
+    assert cf.representative(0) == (0,) * THETA_SUB.m
     with pytest.raises(ValueError):
-        representative(cf, cf.total_keys)
+        cf.representative(cf.total_keys)
 
 
 def test_classify_surjective_onto_canonical():
     # every canonical key is hit by some mapping (its own representative)
     cf = ClassFunction(THETA_SUB, Z4)
     canonical = {
-        key for key in range(cf.total_keys) if classify(cf, representative(cf, key)) == key
+        key for key in range(cf.total_keys) if cf.classify(cf.representative(key)) == key
     }
-    hit = {classify(cf, h) for h in all_mappings(THETA_SUB, Z4)}
+    hit = {cf.classify(h) for h in all_mappings(THETA_SUB, Z4)}
     assert canonical <= hit
 
 
@@ -185,5 +178,5 @@ def test_thread_tree_membership():
 def test_use_threads_false_plain_tree_keys():
     cf = ClassFunction(THETA_SUB, Z4, use_threads=False)
     assert cf.pair_threads == []
-    total, canonical = count_classes(cf)
+    total, canonical = cf.count_classes()
     assert (total, canonical) == (16, 16)

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from groupconn.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
+from groupconn import cli
+from groupconn.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, build_parser, main
 from groupconn.graphs import encode_graph6
+from groupconn.search import SearchConfig
 from groupconn.solver import decide
 from groupconn.groups import Z4
 
@@ -182,3 +184,38 @@ def test_cli_search_bad_added(capsys, tmp_path):
         run(capsys, "search", "--bases", str(bases), "--added", "x", "--groups", "z4,z2^2")[0]
         == EXIT_ERROR
     )
+
+
+@pytest.mark.parametrize("groups", ["z4", "z4,z2^2,z8"])
+def test_cli_search_needs_two_groups(capsys, tmp_path, groups):
+    bases = tmp_path / "bases.g6"
+    bases.write_text(encode_graph6(complete_graph(4)) + "\n")
+    code, _, err = run(capsys, "search", "--bases", str(bases), "--added", "1", "--groups", groups)
+    assert code == EXIT_ERROR
+    assert "exactly two" in err and "Traceback" not in err
+
+
+def test_cli_search_budget_default_matches_library():
+    args = build_parser().parse_args(["search", "--bases", "b.g6", "--added", "1", "--groups", "z4,z2^2"])
+    assert args.budget == SearchConfig().screen_budget
+
+
+def test_cli_unexpected_error_is_exit_2(capsys, monkeypatch, k4_file):
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine exploded")
+
+    monkeypatch.setattr(cli, "decide", broken)
+    code, out, err = run(capsys, "test", "--graph", k4_file, "--group", "z4")
+    assert code == EXIT_ERROR
+    assert out == "" and "engine exploded" in err
+
+
+@pytest.mark.parametrize("graph", [complete_graph(6), CUBE], ids=["K6", "cube"])
+def test_cli_auto_is_decides_policy(capsys, tmp_path, graph):
+    p = tmp_path / "g.g6"
+    p.write_text(encode_graph6(graph) + "\n")
+    code, out, _ = run(capsys, "test", "--graph", str(p), "--group", "z4", "--algo", "auto")
+    payload = json.loads(out)
+    v = decide(graph, Z4)
+    assert payload["algorithm"] == v.algorithm
+    assert payload["connected"] == v.connected == (code == EXIT_YES)

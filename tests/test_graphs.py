@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from groupconn.graphs import (
     Digraph,
     GraphParseError,
-    edge_connectivity,
     encode_graph6,
     parse_edgelist,
     parse_graph6,
@@ -149,13 +148,6 @@ def test_structure_report_loops_never_bridges():
     g = Digraph(2, ((0, 1), (0, 0)))
     bridges, _, loops = structure_report(g)
     assert bridges == {0} and loops == {1}
-
-
-def test_edge_connectivity():
-    assert edge_connectivity(complete_graph(5)) == 4
-    assert edge_connectivity(CUBE) == 3
-    assert edge_connectivity(Digraph(3, ((0, 1), (1, 2)))) == 1
-    assert edge_connectivity(Digraph(4, ((0, 1), (2, 3)))) == 0
 
 
 @settings(max_examples=40, deadline=None)

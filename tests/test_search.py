@@ -13,7 +13,6 @@ from groupconn.search import (
     discrepancy_search,
     enumerate_subdivisions,
     load_bases,
-    prefilter,
     run_search,
     subdivision_multisets,
 )
@@ -45,11 +44,6 @@ def test_search_task_build():
     t = SearchTask(0, K4, (2, 0, 0, 0, 0, 1))
     g = t.build()
     assert g.n == 7 and g.m == 9
-
-
-def test_prefilter():
-    assert prefilter(K4, Z4)
-    assert not prefilter(Digraph(3, ((0, 1), (1, 2))), Z4)
 
 
 def test_load_bases(tmp_path):
@@ -138,3 +132,15 @@ def test_distinct_edges_only_filter():
 
     assert len(list(_tasks([K4], cfg_all.added, False))) == 21
     assert len(list(_tasks([K4], cfg_distinct.added, True))) == 15  # C(6,2)
+
+
+def test_soundness_failure_is_fatal(monkeypatch, capsys):
+    # a witness whose certificate fails re-verification must stop the
+    # search, not become one "task N failed" line on stderr
+    from groupconn import search
+
+    monkeypatch.setattr(search, "verify_certificate", lambda g, group, h: False)
+    cfg = SearchConfig(added=range(3, 4), order="sequential", distinct_edges_only=True)
+    with pytest.raises(AssertionError, match="re-verification"):
+        list(discrepancy_search([CUBE], Z4, Z2xZ2, cfg))
+    assert "failed:" not in capsys.readouterr().err
