@@ -7,8 +7,10 @@ discrepancy witnesses as NDJSON.  There is no exact mode here: a candidate
 whose two screens are both inconclusive is dropped without a decide, so
 the run can miss witnesses.  At the default --budget it misses
 data/witness_z22_yes_z4_no.json, whose z4 certificate the screen first
-finds at a budget of 2**20; that fixture is built by
-scripts/make_witness_fixture.py instead.  Resumable: progress is
+finds at a budget of 2**20.  A search finds that witness with
+``groupconn search --exact``, which fully decides every candidate whose
+screens are inconclusive (the fixture itself is rebuilt by
+scripts/make_witness_fixture.py).  Resumable: progress is
 checkpointed after every candidate, so the run can be interrupted and
 restarted with --resume.
 

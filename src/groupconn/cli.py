@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("test", help="decide group connectivity")
     add_graph_args(sp)
-    sp.add_argument("--algo", choices=["auto", "fast", "naive", "ultra"], default="auto")
+    sp.add_argument("--algo", choices=["auto", "sumset", "fast", "naive", "ultra"], default="auto")
     sp.add_argument("--no-preprocess", action="store_true", help="ultra-naive only")
     sp.set_defaults(func=cmd_test)
 

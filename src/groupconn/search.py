@@ -7,8 +7,9 @@ witnesses: graphs that are connected for exactly one of the two groups.
 Candidate filtering is layered cheapest-first: preprocessing early-NO
 (shared by both groups, since the rules depend only on the group order),
 the nowhere-zero-flow prefilter, then a budgeted randomized NO-screen per
-group.  A full solve runs only when the screens disagree (or, in exact
-mode, whenever they are inconclusive).
+group.  A full solve, ``decide`` with its ``auto`` engine, runs only
+when the screens disagree (or, in exact mode, whenever they are
+inconclusive).
 """
 
 from __future__ import annotations
@@ -198,8 +199,8 @@ def _examine(
     if no_a is None and no_b is None:
         if not cfg.exact:
             return None
-        va = decide(g, group_a, "fast")
-        vb = decide(g, group_b, "fast")
+        va = decide(g, group_a)
+        vb = decide(g, group_b)
         if va.connected == vb.connected:
             return None
         yes, no = (group_a, group_b) if va.connected else (group_b, group_a)
@@ -212,7 +213,7 @@ def _examine(
         retry = screen_no(g, yes, budget=4 * cfg.screen_budget, seed=seed + 1)
         if retry is not None:
             return None
-        v_yes = decide(g, yes, "fast")
+        v_yes = decide(g, yes)
         if not v_yes.connected:
             return None
         cert = no_side.certificate

@@ -5,25 +5,30 @@ per edge) is avoided by some flow: a flow f with f(e) != h(e) on every
 edge.  The solvers here either report YES or return a certificate: a
 forbidden mapping no flow avoids.
 
-Three engines of increasing sophistication share the same contract:
+Four engines share the same contract:
 
 * ``solve_ultra_naive``  -- enumerate every mapping, check each against
   every flow.  The baseline oracle.
 * ``solve_naive``        -- enumerate one tree-normalized representative
   per flow-equivalence class.
-* ``solve_fast``         -- enumerate only mappings that the zero flow
-  avoids, restricted further around edge 2-cuts, mark their class keys
-  in a table, and sweep the table for an unmarked class.
+* ``solve_fast``         -- the paper's engine: enumerate only mappings
+  that the zero flow avoids, restricted further around edge 2-cuts, mark
+  their class keys in a table, and sweep the table for an unmarked class.
+* ``solve_sumset``       -- the production engine: the boundaries of
+  nowhere-zero mappings form a Minkowski sum with one factor per edge
+  (Jaeger, Linial, Payan and Tarsi, JCTB 56, 1992), held as a bool array
+  over every zero-sum boundary.
 
 The first two share one packed enumerate-and-check loop and differ only
 in the edges whose values they enumerate: every edge, or the edges of a
-spanning tree.
+spanning tree.  The first three are kept as reference oracles.
 
 ``preprocess`` shrinks an instance with always-sound reductions (loops,
 bridges, short cycles, long threads) and knows how to lift certificates
 back to the original graph; ``decide`` glues everything together.  It is
-also the one place that resolves ``algorithm="auto"``: ultra-naive when
-|G|^m <= 4^8, else naive when n <= 7, else fast.
+also the one place that resolves ``algorithm="auto"``: ultra-naive
+without preprocessing, else sumset when |G|^(n-1) <= SUMSET_LIMIT, else
+fast.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .groups import Group
 ULTRA_NAIVE_LIMIT = 10**8  # cap on |G|^m work items
 NAIVE_KEY_LIMIT = 2**27  # cap on tree-representative enumeration
 FAST_TABLE_LIMIT = 2**28  # cap on the class-marking table (one byte per key)
+SUMSET_LIMIT = 2**28  # cap on the boundary array (one byte per boundary)
 CHUNK = 1 << 21  # vectorized enumeration chunk size
 
 PackedCols = tuple  # one numpy uint64 array per group factor
@@ -268,7 +274,7 @@ def _packed_flows(g: Digraph, group: Group, s: SpanningStructure):
     packer = Packer(group, g.m)
     total = k**rank
     words = tuple(np.zeros(total, dtype=np.uint64) for _ in group.factors)
-    for j in range(rank):
+    for j, digits in _mixed_radix_digits([k] * rank, 0, total):
         table = _pack_columns(
             packer,
             [
@@ -276,7 +282,6 @@ def _packed_flows(g: Digraph, group: Group, s: SpanningStructure):
                 for v in range(k)
             ],
         )
-        digits = (np.arange(total, dtype=np.uint64) // np.uint64(k ** (rank - 1 - j))) % np.uint64(k)
         words = packer.add(words, tuple(col[digits] for col in table))
     return packer, words
 
@@ -336,19 +341,28 @@ def _satisfied_mask(packer: Packer, flows: PackedCols, hs: PackedCols, need: str
     return out
 
 
+def _mixed_radix_digits(sizes: Sequence[int], start: int, count: int):
+    """Yield (c, digits of coordinate c) for enumeration indices start..start+count-1.
+
+    Coordinate 0 is the most significant digit; coordinates are yielded
+    from the least significant one up, one array at a time.
+    """
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    period = 1
+    for c in reversed(range(len(sizes))):
+        yield c, (idx // np.uint64(period)) % np.uint64(sizes[c])
+        period *= sizes[c]
+
+
 def _enumerate_packed(packer: Packer, tables: list[PackedCols], sizes: list[int], start: int, count: int) -> PackedCols:
     """Packed sums over a mixed-radix product of contribution tables.
 
     ``tables[c]`` holds per-factor columns for coordinate c; coordinate 0
     is the most significant digit of the enumeration index.
     """
-    idx = np.arange(start, start + count, dtype=np.uint64)
     words = None
-    period = 1
-    for c in reversed(range(len(sizes))):
-        digit = (idx // np.uint64(period)) % np.uint64(sizes[c])
-        period *= sizes[c]
-        cols = tuple(tables[c][f][digit] for f in range(len(tables[c])))
+    for c, digit in _mixed_radix_digits(sizes, start, count):
+        cols = tuple(col[digit] for col in tables[c])
         words = cols if words is None else packer.add(words, cols)
     return words
 
@@ -631,17 +645,13 @@ class FastInstance:
 
         for start in range(0, total, CHUNK):
             count = min(CHUNK, total - start)
-            idx = np.arange(start, start + count, dtype=np.uint64)
             words = None
             dcols = []
-            period = 1
-            for c in reversed(range(len(sizes))):
-                digit = (idx // np.uint64(period)) % np.uint64(sizes[c])
-                period *= sizes[c]
-                cols = tuple(tabs[c][f][digit] for f in range(len(tabs[c])))
+            for c, digit in _mixed_radix_digits(sizes, start, count):
+                cols = tuple(col[digit] for col in tabs[c])
                 words = cols if words is None else packer.add(words, cols)
                 if dtabs[c] is not None:
-                    dcols.append(tuple(dtabs[c][f][digit] for f in range(len(dtabs[c]))))
+                    dcols.append(tuple(col[digit] for col in dtabs[c]))
             dcols.reverse()
 
             marked = np.zeros(count, dtype=bool)
@@ -689,6 +699,132 @@ def solve_fast(g: Digraph, group: Group, thread_opt: bool = True) -> Verdict:
             "fast engine produced an invalid certificate; the class function is inconsistent"
         )
     return Verdict(g, group, False, tuple(cert), "fast", stats)
+
+
+def _elimination_order(g: Digraph) -> list[int]:
+    """Vertices ordered so that each has few edges to the vertices before it.
+
+    Built from the back: the last place goes to a vertex of least degree,
+    which is then removed, and so on.  The boundary array of solve_sumset
+    grows by one vertex per place, so this keeps most edges on small arrays.
+    """
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    degree = [len(a) for a in adj]
+    left = set(range(g.n))
+    order = []
+    while left:
+        x = min(left, key=lambda y: (degree[y], y))
+        left.remove(x)
+        order.append(x)
+        for y in adj[x]:
+            degree[y] -= 1
+    order.reverse()
+    return order
+
+
+def _tree_mapping(g: Digraph, group: Group, root: int, beta: Sequence[int]) -> EdgeVector:
+    """A mapping supported on a BFS spanning tree whose boundary is beta.
+
+    The boundary of h at x is the sum of h over edges leaving x minus the
+    sum over edges entering x; beta must sum to zero.  Leaves are peeled
+    first, each fixing the value of the tree edge to its parent.
+    """
+    inc = g.incidence()
+    parent_edge = {root: -1}
+    bfs = [root]
+    for x in bfs:
+        for e in inc[x]:
+            u, v = g.edges[e]
+            y = v if u == x else u
+            if y not in parent_edge:
+                parent_edge[y] = e
+                bfs.append(y)
+    if len(bfs) != g.n:
+        raise ValueError("solve_sumset requires a connected graph")
+    h = [0] * g.m
+    acc = [0] * g.n  # boundary of the tree edges fixed so far
+    for x in reversed(bfs[1:]):
+        e = parent_edge[x]
+        need = group.sub(beta[x], acc[x])
+        u, v = g.edges[e]
+        h[e] = need if u == x else group.neg(need)
+        other = v if u == x else u
+        acc[other] = group.sub(acc[other], need)
+    return tuple(h)
+
+
+def solve_sumset(g: Digraph, group: Group) -> Verdict:
+    """Boundary-sumset engine for a connected graph (loops are ignored).
+
+    g is connected exactly when every zero-sum boundary beta is the
+    boundary of a nowhere-zero mapping.  Those boundaries are the sum over
+    edges uv of {c*(chi_u - chi_v) : c != 0}, kept as a bool array with one
+    axis per (vertex, cyclic factor); the first vertex of
+    _elimination_order has no axes, its value being fixed by the zero sum.
+    Vertices join the array in that order, a vertex's edges to earlier
+    vertices being added right after it joins.  A full array is YES.
+    Otherwise, for the first unreached beta, a tree mapping phi with
+    boundary beta is the certificate: if a flow f avoided phi, phi - f
+    would be nowhere-zero with boundary beta.
+    """
+    t0 = time.perf_counter()
+    k, nf = group.order, len(group.factors)
+    total = k ** (g.n - 1)
+    if total > SUMSET_LIMIT:
+        raise ValueError(f"boundary array |G|**{g.n - 1} exceeds the sumset-engine limit")
+    order = _elimination_order(g)
+    place = {x: p for p, x in enumerate(order)}
+    joins: list[list[int]] = [[] for _ in range(g.n)]  # earlier endpoint of each edge, by later place
+    for u, v in g.edges:
+        if u != v:
+            lo, hi = sorted((place[u], place[v]))
+            joins[hi].append(lo)
+    # the vertex at place p owns axes (t-p)*nf .. (t-p)*nf+nf-1 of the
+    # level-t array, factors in reverse so the C-order index of a
+    # vertex's axes is its element index; the Ellipsis keeps a block a
+    # view even when it has no axes left
+    coords = [tuple(reversed(group.to_tuple(a))) for a in range(k)]
+    index = [a + (Ellipsis,) for a in coords]
+    shape = tuple(reversed(group.factors))
+    reached = np.ones((), dtype=bool)
+    edges_added = 0
+    for t in range(1, g.n):
+        grown = np.zeros(shape + reached.shape, dtype=bool)
+        grown[index[0]] = reached
+        reached = grown
+        for p in joins[t]:
+            # the new vertex gains c and the vertex at place p loses c
+            axes = tuple(range((t - p - 1) * nf, (t - p) * nf))
+            out = np.zeros_like(reached)
+            for b in range(k):
+                block = reached[index[b]]
+                for c in range(1, k):
+                    target = out[index[group.add(b, c)]]
+                    target |= np.roll(block, coords[group.neg(c)], axes) if p else block
+            reached = out
+            edges_added += 1
+            if t == g.n - 1 and reached.all():
+                break
+    count = int(np.count_nonzero(reached))
+    stats = {"boundaries_total": total, "boundaries_reached": count, "edges_added": edges_added}
+    if count == total:
+        stats["elapsed"] = time.perf_counter() - t0
+        return Verdict(g, group, True, None, "sumset", stats)
+    # argmin of a bool array is its first False: the first unreached beta
+    digits = _digits_of(int(np.argmin(reached)), k, g.n - 1)  # digits[0] is the last place
+    beta = [0] * g.n
+    for p in range(1, g.n):
+        beta[order[p]] = digits[g.n - 1 - p]
+        beta[order[0]] = group.sub(beta[order[0]], beta[order[p]])
+    cert = _tree_mapping(g, group, order[0], beta)
+    stats["elapsed"] = time.perf_counter() - t0
+    if not verify_certificate(g, group, cert):
+        raise AssertionError("sumset engine produced an invalid certificate; the boundary array is inconsistent")
+    return Verdict(g, group, False, cert, "sumset", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -791,18 +927,19 @@ def decide(
 ) -> Verdict:
     """Decide group connectivity of an arbitrary graph.
 
-    ``algorithm`` is one of "ultra", "naive", "fast", "auto".  "auto"
-    picks ultra-naive when |G|^m <= 4^8, else naive when n <= 7, else
-    fast, with m and n those of the input graph.  Only the ultra-naive
-    engine supports ``use_preprocessing=False`` (it is the oracle the
-    preprocessing is validated against).
+    ``algorithm`` is one of "ultra", "naive", "fast", "sumset", "auto".
+    "auto" picks ultra-naive when ``use_preprocessing`` is False, else
+    sumset when |G|^(n-1) <= SUMSET_LIMIT, else fast, with n that of the
+    input graph.  Only the ultra-naive engine supports
+    ``use_preprocessing=False`` (it is the oracle the preprocessing is
+    validated against).
     """
     t0 = time.perf_counter()
     if algorithm == "auto":
-        if group.order**g.m <= 4**8:
+        if not use_preprocessing:
             algorithm = "ultra"
-        elif g.n <= 7:
-            algorithm = "naive"
+        elif group.order ** (g.n - 1) <= SUMSET_LIMIT:
+            algorithm = "sumset"
         else:
             algorithm = "fast"
     if not use_preprocessing:
@@ -832,6 +969,8 @@ def decide(
             v = solve_naive(comp.graph, group)
         elif algorithm == "fast":
             v = solve_fast(comp.graph, group, thread_opt=thread_opt)
+        elif algorithm == "sumset":
+            v = solve_sumset(comp.graph, group)
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         for key, val in v.stats.items():

@@ -51,7 +51,7 @@ def test_cli_test_no_with_certificate(capsys, bridge_file):
 
 
 def test_cli_test_algo_and_no_preprocess(capsys, k4_file):
-    for algo in ("ultra", "naive", "fast"):
+    for algo in ("ultra", "naive", "fast", "sumset"):
         code, out, _ = run(capsys, "test", "--graph", k4_file, "--group", "z2^2", "--algo", algo)
         assert json.loads(out)["connected"] == (code == EXIT_YES)
     code, out, _ = run(

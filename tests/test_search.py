@@ -21,6 +21,7 @@ from groupconn.solver import decide, verify_certificate
 from conftest import CUBE, complete_graph
 
 K4 = complete_graph(4)
+DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 
 
 def test_subdivision_multisets_count():
@@ -144,3 +145,19 @@ def test_soundness_failure_is_fatal(monkeypatch, capsys):
     with pytest.raises(AssertionError, match="re-verification"):
         list(discrepancy_search([CUBE], Z4, Z2xZ2, cfg))
     assert "failed:" not in capsys.readouterr().err
+
+
+def test_exact_search_refinds_cubic12_witness():
+    # neither randomized screen settles this candidate, so only exact mode
+    # reaches the full solves that expose it
+    from groupconn.search import _examine
+
+    with open(os.path.join(DATA_DIR, "witness_z22_yes_z4_no.json")) as fh:
+        payload = json.load(fh)
+    bases = load_bases(os.path.join(DATA_DIR, "cubic12.g6"))
+    task = SearchTask(3, bases[3], tuple(payload["subdivision_counts"]))
+    w = _examine(task, Z4, Z2xZ2, SearchConfig(exact=True))
+    assert w is not None
+    assert w.graph == Digraph(payload["graph"]["n"], tuple(tuple(e) for e in payload["graph"]["edges"]))
+    assert w.yes_group == Z2xZ2 and w.no_group == Z4
+    assert verify_certificate(w.graph, Z4, w.certificate)

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
-from groupconn.graphs import Digraph, subdivide
+from groupconn import solver
+from groupconn.flows import find_satisfying_flow
+from groupconn.graphs import Digraph, structure_report, subdivide
 from groupconn.groups import Z2, Z3, Z4, Z2xZ2, make_group
+from groupconn.search import enumerate_subdivisions
 from groupconn.solver import (
     Verdict,
     decide,
@@ -13,6 +16,7 @@ from groupconn.solver import (
     screen_no,
     solve_fast,
     solve_naive,
+    solve_sumset,
     solve_ultra_naive,
     verify_certificate,
 )
@@ -177,6 +181,100 @@ def test_engines_agree_on_subdivisions():
 def test_fast_engine_cube():
     for group in (Z4, Z2xZ2):
         assert solve_fast(CUBE, group).connected == decide(CUBE, group, "naive").connected
+
+
+# -- the boundary-sumset engine ------------------------------------------------
+
+SUMSET_GROUPS = [Z2, Z3, Z4, Z2xZ2, make_group([5]), make_group([2, 3])]
+
+
+def check_sumset_no(v: Verdict) -> None:
+    """A NO verdict's certificate passes both the packed and the scalar check."""
+    if not v.connected:
+        assert verify_certificate(v.graph, v.group, v.certificate)
+        assert find_satisfying_flow(v.graph, v.group, v.certificate) is None
+
+
+def small_connected_multigraphs():
+    """Every connected multigraph (loops allowed) with n <= 3 and m <= 5."""
+    for n in (1, 2, 3):
+        slots = [(u, v) for u in range(n) for v in range(u, n)]
+        for m in range(1, 6):
+            for combo in itertools.combinations_with_replacement(slots, m):
+                g = Digraph(n, combo)
+                if len(structure_report(g)[1]) == 1:
+                    yield g
+
+
+def test_sumset_agrees_with_ultra_exhaustive():
+    count = 0
+    for g in small_connected_multigraphs():
+        for group in SUMSET_GROUPS:
+            truth = oracle(g, group)
+            # through decide (preprocessed components) and on the raw graph
+            for v in (decide(g, group, "sumset"), solve_sumset(g, group)):
+                assert v.connected == truth, (g, group.spec_string())
+                check_sumset_no(v)
+        count += 1
+    assert count == 236
+
+
+def test_sumset_agrees_with_naive_random():
+    rng = random.Random(20261018)
+    for i in range(300):
+        n = rng.randint(3, 9)
+        g = random_connected_loopfree(rng, n, rng.randint(n - 1, 14))
+        for group in (Z4, Z2xZ2):
+            v = decide(g, group, "sumset")
+            assert v.connected == decide(g, group, "naive").connected, (i, group.spec_string())
+            check_sumset_no(v)
+
+
+def test_sumset_known_graphs():
+    for group in (Z4, Z2xZ2):
+        v = decide(PETERSEN, group, "sumset")
+        assert not v.connected and v.algorithm == "sumset"
+        check_sumset_no(v)
+        assert decide(complete_graph(6), group, "sumset").connected
+        v = decide(CUBE, group, "sumset")
+        assert v.connected == decide(CUBE, group, "naive").connected
+        check_sumset_no(v)
+
+
+def test_sumset_stats_and_limit(monkeypatch):
+    v = solve_sumset(complete_graph(4), Z4)
+    assert v.connected
+    assert v.stats["boundaries_total"] == v.stats["boundaries_reached"] == 4**3
+    assert v.stats["edges_added"] <= 6 and v.stats["elapsed"] >= 0
+    v = solve_sumset(PETERSEN, Z4)
+    # Petersen has no nowhere-zero 4-flow: only the zero boundary is missing
+    assert v.stats["boundaries_reached"] == 4**9 - 1 and v.stats["edges_added"] == 15
+    monkeypatch.setattr(solver, "SUMSET_LIMIT", 4**9 - 1)
+    with pytest.raises(ValueError, match="sumset-engine limit"):
+        solve_sumset(PETERSEN, Z4)
+    with pytest.raises(ValueError, match="connected"):
+        solve_sumset(Digraph(4, ((0, 1), (0, 1), (2, 3), (2, 3))), Z4)
+
+
+def test_sumset_rechecks_its_certificates(monkeypatch):
+    monkeypatch.setattr(solver, "verify_certificate", lambda g, group, h: False)
+    with pytest.raises(AssertionError, match="sumset engine"):
+        solve_sumset(PETERSEN, Z4)
+
+
+# -- the auto policy ---------------------------------------------------------
+
+
+def test_auto_picks_sumset():
+    assert decide(PETERSEN, Z4).algorithm == "sumset"
+    assert decide(complete_graph(4), Z4, use_preprocessing=False).algorithm == "ultra-naive"
+
+
+def test_auto_falls_back_to_fast_above_sumset_limit(monkeypatch):
+    workload = list(enumerate_subdivisions(CUBE, 2))  # n = 10: |Z4|^9 boundaries
+    assert all(decide(g, Z4).algorithm == "sumset" for g in workload)
+    monkeypatch.setattr(solver, "SUMSET_LIMIT", 4**9 - 1)
+    assert all(decide(g, Z4).algorithm == "fast" for g in workload)
 
 
 # -- known verdicts ----------------------------------------------------------
