@@ -112,7 +112,9 @@ class Packer:
         for j, f in enumerate(self.group.factors):
             b, off, full, high, low, ones = self._masks[j]
             a, c = x[j], y[j]
-            if self.pow2:
+            if self.pow2 and b == 1:
+                out.append(a ^ c)  # a Z2 factor: one bit per lane, so addition is XOR
+            elif self.pow2:
                 out.append(((a & _U(low)) + (c & _U(low))) ^ ((a ^ c) & _U(high)))
             else:
                 t = a + c

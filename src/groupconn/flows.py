@@ -8,6 +8,7 @@ enumeration strategy and the normal form used by the class machinery.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -166,6 +167,7 @@ def iter_flows(g: Digraph, group: Group, s: Optional[SpanningStructure] = None) 
     # deltas[v] is the group step when an odometer digit moves from v to (v+1) % k;
     # steps[i][v] pre-applies it (with signs) along cycle i.
     deltas = [group.sub((v + 1) % k, v) for v in range(k)]
+    add = [[group.add(a, b) for b in range(k)] for a in range(k)]  # Cayley table
     steps = []
     for cyc in s.cycles:
         per_value = []
@@ -180,7 +182,7 @@ def iter_flows(g: Digraph, group: Group, s: Optional[SpanningStructure] = None) 
             v = cur[i]
             cur[i] = (v + 1) % k
             for e, step in steps[i][v]:
-                values[e] = group.add(values[e], step)
+                values[e] = add[values[e]][step]
             if cur[i] != 0:
                 break
             i -= 1
@@ -199,7 +201,7 @@ def find_satisfying_flow(g: Digraph, group: Group, h: Sequence[int]) -> Optional
     for x in h:
         group.check(x)
     for phi in iter_flows(g, group):
-        if all(phi[e] != h[e] for e in range(g.m)):
+        if all(map(operator.ne, phi, h)):
             return phi
     return None
 
