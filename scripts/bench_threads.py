@@ -13,19 +13,10 @@ from __future__ import annotations
 import argparse
 import time
 
-from groupconn.graphs import Digraph
+from groupconn.graphs import CUBE
 from groupconn.groups import Z4, Z2xZ2
 from groupconn.search import enumerate_subdivisions
 from groupconn.solver import decide
-
-CUBE = Digraph(
-    8,
-    (
-        (0, 1), (1, 2), (2, 3), (3, 0),
-        (4, 5), (5, 6), (6, 7), (7, 4),
-        (0, 4), (1, 5), (2, 6), (3, 7),
-    ),
-)
 
 
 def run(workload, group, thread_opt):

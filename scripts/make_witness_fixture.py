@@ -2,9 +2,9 @@
 
 The witness is base 3 of data/cubic12.g6 with edges 2 (4,5), 6 (3,7) and
 12 (0,10) subdivided once each: n = 15, m = 21.  Both groups are decided
-in full with the fast engine (the search's randomized screens find no z4
-certificate for this graph at their default budget), the z4
-NO-certificate is re-verified, and the result is written in the search's
+in full with the fast oracle, so the fixture does not rest on the
+``sumset`` engine that the search uses; the z4 NO-certificate is
+re-verified, and the result is written in the search's
 own witness format.  About 7.5 min and 0.6 GB on a 2-core x86 box.
 
 Example:

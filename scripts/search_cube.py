@@ -14,32 +14,18 @@ import argparse
 import sys
 import time
 
-from groupconn.graphs import Digraph
+from groupconn.graphs import CUBE
 from groupconn.groups import Z4, Z2xZ2
 from groupconn.search import SearchConfig, discrepancy_search
-
-CUBE = Digraph(
-    8,
-    (
-        (0, 1), (1, 2), (2, 3), (3, 0),
-        (4, 5), (5, 6), (6, 7), (7, 4),
-        (0, 4), (1, 5), (2, 6), (3, 7),
-    ),
-)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-added", type=int, default=7)
-    ap.add_argument("--budget", type=int, default=16384, help="randomized NO-screen budget")
     ap.add_argument("--all", action="store_true", help="stream every witness instead of stopping")
     args = ap.parse_args(argv)
 
-    cfg = SearchConfig(
-        added=range(1, args.max_added + 1),
-        order="sequential",
-        screen_budget=args.budget,
-    )
+    cfg = SearchConfig(added=range(1, args.max_added + 1), order="sequential")
     t0 = time.perf_counter()
     for w in discrepancy_search([CUBE], Z4, Z2xZ2, cfg):
         print(w.to_json())

@@ -1,18 +1,16 @@
 """Search threefold subdivisions of cubic bases for one-sided connectivity.
 
-Subdivides three distinct edges (once each) of every base graph, screens
-each candidate for z4 and z2^2 with the budgeted randomized NO-screen,
-fully decides only candidates whose screens disagree, and streams verified
-discrepancy witnesses as NDJSON.  There is no exact mode here: a candidate
-whose two screens are both inconclusive is dropped without a decide, so
-the run can miss witnesses.  At the default --budget it misses
-data/witness_z22_yes_z4_no.json, whose z4 certificate the screen first
-finds at a budget of 2**20.  A search finds that witness with
-``groupconn search --exact``, which fully decides every candidate whose
-screens are inconclusive (the fixture itself is rebuilt by
-scripts/make_witness_fixture.py).  Resumable: progress is
-checkpointed after every candidate, so the run can be interrupted and
-restarted with --resume.
+Subdivides three distinct edges (once each) of every base graph, decides
+each candidate exactly for z4 and z2^2, and streams verified discrepancy
+witnesses as NDJSON: the NO side proved by its certificate, the YES side
+of small witnesses cross-checked with the naive engine.  Nothing is
+sampled, so when the run reaches the candidate of
+data/witness_z22_yes_z4_no.json (base 3, task 51128 of 62,832 in the
+default seed-7 order) it emits that witness.  Resumable: progress is
+checkpointed after every candidate, bound to the bases, groups, added
+count, order and seed, so the run can be interrupted and restarted with
+--resume; a checkpoint from another configuration is refused with exit
+status 2.
 
 Example:
     python3 scripts/search_cubic12.py --bases data/cubic12.g6 \
@@ -37,7 +35,6 @@ def main(argv=None) -> int:
     ap.add_argument("--added", type=int, default=3, help="number of distinct edges to subdivide")
     ap.add_argument("--order", choices=("sequential", "random"), default="random")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--budget", type=int, default=16384, help="randomized NO-screen budget")
     ap.add_argument("--output", default="-", help="NDJSON witness stream ('-' = stdout)")
     ap.add_argument("--checkpoint", default=None)
     ap.add_argument("--resume", action="store_true")
@@ -59,7 +56,6 @@ def main(argv=None) -> int:
         added=range(args.added, args.added + 1),
         order=args.order,
         seed=args.seed,
-        screen_budget=args.budget,
         distinct_edges_only=True,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
@@ -83,6 +79,9 @@ def main(argv=None) -> int:
                 break
             if args.max_witnesses and found >= args.max_witnesses:
                 break
+    except ValueError as exc:  # e.g. a checkpoint written for another configuration
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if out is not sys.stdout:
             out.close()

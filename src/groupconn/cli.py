@@ -152,8 +152,6 @@ def cmd_search(args) -> int:
         added=_parse_added(args.added),
         order=args.order,
         seed=args.seed,
-        screen_budget=args.budget,
-        exact=args.exact,
         distinct_edges_only=args.distinct_edges,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
@@ -202,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--groups", required=True, help="two comma-separated group specs")
     sp.add_argument("--order", choices=["sequential", "random"], default="sequential")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=SearchConfig.screen_budget, help="NO-screen sample budget")
-    sp.add_argument("--exact", action="store_true", help="full solves when screens are inconclusive")
     sp.add_argument("--distinct-edges", action="store_true", help="subdivide distinct edges only")
     sp.add_argument("--output", help="append witness NDJSON here instead of stdout")
     sp.add_argument("--checkpoint", help="checkpoint file for resumable searches")

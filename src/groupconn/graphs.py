@@ -181,6 +181,18 @@ def subdivide(g: Digraph, edge: int, k: int = 1) -> Digraph:
     return Digraph(g.n + k, tuple(edges))
 
 
+# The 3-cube: two 4-cycles joined by a matching.  Witness subdivision
+# counts name edges by their position here, so the order is fixed.
+CUBE = Digraph(
+    8,
+    (
+        (0, 1), (1, 2), (2, 3), (3, 0),
+        (4, 5), (5, 6), (6, 7), (7, 4),
+        (0, 4), (1, 5), (2, 6), (3, 7),
+    ),
+)
+
+
 @dataclass(frozen=True)
 class Thread:
     """A maximal path whose internal vertices have degree 2.

@@ -4,23 +4,28 @@ The pipeline subdivides edges of small base graphs (typically cubic),
 decides connectivity over two groups of equal order, and streams
 witnesses: graphs that are connected for exactly one of the two groups.
 
-Candidate filtering is layered cheapest-first: preprocessing early-NO
-(shared by both groups, since the rules depend only on the group order),
-the nowhere-zero-flow prefilter, then a budgeted randomized NO-screen per
-group.  A full solve, ``decide`` with its ``auto`` engine, runs only
-when the screens disagree (or, in exact mode, whenever they are
-inconclusive).
+Every candidate takes one exact path.  Two cheap rejections come first,
+each ruling out both groups at once: preprocessing early-NO (the rules
+depend only on the group order) and the nowhere-zero-flow prefilter.
+Then ``decide``, with its ``auto`` engine, settles both groups.  On a
+discrepancy the NO side's certificate is proved by ``verify_certificate``
+(flow enumeration, independent of the engine that found it), and the YES
+side of a small witness is cross-checked with the ``naive`` engine.
+Either check failing is an ``AssertionError`` that stops the search.
+Nothing is sampled; the only randomness is the task order.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import os
 import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, TextIO
+from typing import ClassVar, Iterator, Optional, TextIO
 
 from .flows import spanning_structure
 from .graphs import Digraph, parse_graph6, subdivide
@@ -29,10 +34,13 @@ from .solver import (
     decide,
     exists_nowhere_zero_flow,
     preprocess,
-    screen_no,
     solve_naive,
     verify_certificate,
 )
+
+# a witness's YES side is cross-checked with `naive` only when that is cheap
+NAIVE_CROSSCHECK_RANK = 6  # cycle rank cap
+NAIVE_CROSSCHECK_LIMIT = 2**22  # cap on |G|^(n-1)
 
 
 @dataclass(frozen=True)
@@ -100,42 +108,63 @@ def enumerate_subdivisions(base: Digraph, added: int) -> Iterator[Digraph]:
         yield SearchTask(0, base, counts).build()
 
 
-def _tasks(
-    bases: list[Digraph], added_range: range, distinct_edges_only: bool
-) -> Iterator[SearchTask]:
-    for bi, base in enumerate(bases):
-        for added in added_range:
-            for counts in subdivision_multisets(base.m, added):
-                if distinct_edges_only and any(c > 1 for c in counts):
-                    continue
-                yield SearchTask(bi, base, counts)
-
-
 @dataclass
 class SearchConfig:
     added: range = range(1, 2)
     order: str = "sequential"  # or "random"
     seed: int = 0
-    screen_budget: int = 16384
-    exact: bool = False  # full solves even when both screens are inconclusive
     distinct_edges_only: bool = False
-    naive_crosscheck_rank: int = 6
     checkpoint_path: Optional[str] = None
     resume: bool = False
     log: Optional[TextIO] = None
+    # not a setting: the search samples nothing; kept because the frozen
+    # benchmark harness (perfbench/run.py) still reads it
+    screen_budget: ClassVar[int] = 0
 
 
-def _read_checkpoint(path: str) -> int:
+def _tasks(bases: list[Digraph], cfg: SearchConfig) -> list[SearchTask]:
+    """The search's candidates, in the order it examines them."""
+    tasks = [
+        SearchTask(bi, base, counts)
+        for bi, base in enumerate(bases)
+        for added in cfg.added
+        for counts in subdivision_multisets(base.m, added)
+        if not (cfg.distinct_edges_only and max(counts) > 1)
+    ]
+    if cfg.order == "random":
+        random.Random(cfg.seed).shuffle(tasks)
+    elif cfg.order != "sequential":
+        raise ValueError(f"unknown order {cfg.order!r}")
+    return tasks
+
+
+def _fingerprint(bases: list[Digraph], group_a: Group, group_b: Group, cfg: SearchConfig) -> str:
+    """Hash of everything that fixes the task list and its order."""
+    spec = [[[g.n, g.edges] for g in bases], group_a.spec_string(), group_b.spec_string()]
+    spec += [list(cfg.added), cfg.order, cfg.seed, cfg.distinct_edges_only]
+    return hashlib.sha256(json.dumps(spec).encode()).hexdigest()
+
+
+def _read_checkpoint(path: str, fingerprint: str) -> int:
+    """Tasks already done; 0 when there is no checkpoint yet."""
+    if not os.path.exists(path):
+        return 0
     try:
         with open(path) as fh:
-            return int(fh.read().split()[0])
-    except (OSError, ValueError, IndexError):
-        return 0
+            state = json.load(fh)
+        done, stored = int(state["done"]), state["fingerprint"]
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"unreadable checkpoint {path!r}: {exc}") from exc
+    if stored != fingerprint:
+        raise ValueError(f"checkpoint {path!r} belongs to a different search configuration")
+    return done
 
 
-def _write_checkpoint(path: str, done: int) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{done}\n")
+def _write_checkpoint(path: str, fingerprint: str, done: int) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump({"done": done, "fingerprint": fingerprint}, fh)
+    os.replace(tmp, path)
 
 
 def discrepancy_search(
@@ -144,100 +173,71 @@ def discrepancy_search(
     group_b: Group,
     config: Optional[SearchConfig] = None,
 ) -> Iterator[Witness]:
-    """Stream verified witnesses where group_a and group_b verdicts differ."""
+    """Stream verified witnesses where group_a and group_b verdicts differ.
+
+    With ``resume``, a checkpoint written for another configuration, or
+    one that cannot be read, is a ``ValueError``.
+    """
     cfg = config or SearchConfig()
     if group_a.order != group_b.order:
         raise ValueError("the two groups must have equal order")
-    tasks = list(_tasks(bases, cfg.added, cfg.distinct_edges_only))
-    if cfg.order == "random":
-        random.Random(cfg.seed).shuffle(tasks)
-    elif cfg.order != "sequential":
-        raise ValueError(f"unknown order {cfg.order!r}")
-
+    tasks = _tasks(bases, cfg)
+    fingerprint = _fingerprint(bases, group_a, group_b, cfg) if cfg.checkpoint_path else ""
     start_at = 0
     if cfg.resume and cfg.checkpoint_path:
-        start_at = _read_checkpoint(cfg.checkpoint_path)
+        start_at = _read_checkpoint(cfg.checkpoint_path, fingerprint)
 
     for done, task in enumerate(tasks):
         if done < start_at:
             continue
         try:
-            w = _examine(task, group_a, group_b, cfg)
+            w = _examine(task, group_a, group_b)
         except AssertionError:
             raise  # a failed soundness check invalidates the whole run
         except Exception as exc:  # keep the stream alive on other per-task failures
-            print(f"task {done} failed: {exc!r}", file=sys.stderr)
+            print(
+                f"task {done} failed: base {task.base_index} counts {list(task.counts)} "
+                f"groups {group_a.spec_string()},{group_b.spec_string()}: {exc!r}",
+                file=sys.stderr,
+            )
             w = None
         if w is not None:
             yield w
         if cfg.checkpoint_path:
-            _write_checkpoint(cfg.checkpoint_path, done + 1)
+            _write_checkpoint(cfg.checkpoint_path, fingerprint, done + 1)
 
 
-def _examine(
-    task: SearchTask, group_a: Group, group_b: Group, cfg: SearchConfig
-) -> Optional[Witness]:
+def _examine(task: SearchTask, group_a: Group, group_b: Group) -> Optional[Witness]:
     t0 = time.perf_counter()
     g = task.build()
 
     # the reduction rules depend only on the group order, so an early NO
     # (bridge / long cycle / long thread) rules out both groups at once
-    inst = preprocess(g, group_a)
-    if inst.early_no is not None:
+    if preprocess(g, group_a).early_no is not None:
         return None
     # no nowhere-zero flow means NO for every group of that order
     if not exists_nowhere_zero_flow(g, group_a):
         return None
 
-    seed = hash((task.base_index, task.counts)) & 0x7FFFFFFF
-    no_a = screen_no(g, group_a, budget=cfg.screen_budget, seed=seed, reduced=inst)
-    inst_b = preprocess(g, group_b)
-    no_b = screen_no(g, group_b, budget=cfg.screen_budget, seed=seed, reduced=inst_b)
-
-    if no_a is not None and no_b is not None:
+    va, vb = decide(g, group_a), decide(g, group_b)
+    if va.connected == vb.connected:
         return None
-    if no_a is None and no_b is None:
-        if not cfg.exact:
-            return None
-        va = decide(g, group_a)
-        vb = decide(g, group_b)
-        if va.connected == vb.connected:
-            return None
-        yes, no = (group_a, group_b) if va.connected else (group_b, group_a)
-        cert = (vb if va.connected else va).certificate
-    else:
-        no_side, no = (no_a, group_a) if no_a is not None else (no_b, group_b)
-        yes = group_b if no is group_a else group_a
-        # a bigger-budget screen on the other side is far cheaper than the
-        # full solve and prunes most both-NO candidates
-        retry = screen_no(g, yes, budget=4 * cfg.screen_budget, seed=seed + 1)
-        if retry is not None:
-            return None
-        v_yes = decide(g, yes)
-        if not v_yes.connected:
-            return None
-        cert = no_side.certificate
-
-    if _rank(g) <= cfg.naive_crosscheck_rank and yes.order ** (g.n - 1) <= 2**22:
-        _crosscheck(g, yes, no)
-    if not verify_certificate(g, no, cert):
+    yes, no = (va, vb) if va.connected else (vb, va)
+    if not verify_certificate(g, no.group, no.certificate):
         raise AssertionError("witness certificate failed re-verification")
-    return Witness(g, yes, no, tuple(cert), task.base_index, task.counts, time.perf_counter() - t0)
+    cheap = spanning_structure(g).rank <= NAIVE_CROSSCHECK_RANK
+    if cheap and yes.group.order ** (g.n - 1) <= NAIVE_CROSSCHECK_LIMIT:
+        _crosscheck(g, yes.group)
+    return Witness(
+        g, yes.group, no.group, tuple(no.certificate), task.base_index, task.counts, time.perf_counter() - t0
+    )
 
 
-def _rank(g: Digraph) -> int:
-    return spanning_structure(g).rank
-
-
-def _crosscheck(g: Digraph, yes: Group, no: Group) -> None:
-    inst_yes, inst_no = preprocess(g, yes), preprocess(g, no)
-    for inst, grp, want in ((inst_yes, yes, True), (inst_no, no, False)):
-        if inst.early_no is not None:
-            ok = not want
-        else:
-            ok = all(solve_naive(c.graph, grp).connected for c in inst.components) == want
-        if not ok:
-            raise AssertionError(f"naive cross-check disagrees for {grp.spec_string()}")
+def _crosscheck(g: Digraph, yes: Group) -> None:
+    """Confirm a YES verdict with the naive engine (a NO is proved by its certificate)."""
+    inst = preprocess(g, yes)
+    if inst.early_no is not None or not all(solve_naive(c.graph, yes).connected for c in inst.components):
+        raise AssertionError(f"naive cross-check disagrees for {yes.spec_string()}")
 
 
 def load_bases(path: str) -> list[Digraph]:

@@ -290,17 +290,16 @@ def _pack_columns(packer: Packer, vectors: Sequence[Sequence[int]]) -> PackedCol
 
 
 _FLOW_PASS_CAP = 512
-_SCREEN_CHUNK = 16384
 
 
-def _satisfied_mask(packer: Packer, flows: PackedCols, hs: PackedCols, need: str = "all") -> np.ndarray:
+def _satisfied_mask(packer: Packer, flows: PackedCols, hs: PackedCols) -> np.ndarray:
     """For each packed mapping in hs, whether some flow avoids it everywhere.
 
     Two phases: sweep the first few hundred flows over the whole batch
     (satisfies almost everything on YES-like instances), then settle the
-    stragglers one by one against the full flow space.  With
-    ``need="first"`` the straggler phase stops at the first mapping
-    confirmed unsatisfied, which is all the enumeration and the screen use.
+    stragglers one by one against the full flow space.  The straggler
+    phase stops at the first mapping confirmed unsatisfied, which is all
+    any caller needs; stragglers after it stay False.
     """
     n = len(hs[0])
     total_flows = len(flows[0])
@@ -333,7 +332,7 @@ def _satisfied_mask(packer: Packer, flows: PackedCols, hs: PackedCols, need: str
             if bool(packer.all_nonzero(packer.add(fb, neg_h)).any()):
                 out[j] = True
                 break
-        if not out[j] and need == "first":
+        if not out[j]:
             break
     return out
 
@@ -480,7 +479,7 @@ def _first_unavoidable(
     packer, flows = packed
     tables = [_pack_columns(packer, _unit_vectors(g.m, e, k)) for e in positions]
     for start, hs in _chunked_sums(packer, tables):
-        sat = _satisfied_mask(packer, flows, hs, need="first")
+        sat = _satisfied_mask(packer, flows, hs)
         stats["mappings_enumerated"] += len(sat)
         bad = np.flatnonzero(~sat)
         if len(bad):
@@ -534,8 +533,8 @@ def solve_naive(g: Digraph, group: Group) -> Verdict:
 class FastInstance:
     """Precomputed state for solve_fast on one preprocessed component.
 
-    Separated from the solve itself so that the screening path and the
-    benchmark script can reuse the contribution tables.
+    Holds the packed contribution tables that the marking phase and the
+    sweep share.  Only the ``fast`` oracle uses it.
     """
 
     def __init__(self, g: Digraph, group: Group, thread_opt: bool = True):
@@ -858,79 +857,6 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
     if not verify_certificate(g, group, cert):
         raise AssertionError("sumset engine produced an invalid certificate; the boundary array is inconsistent")
     return Verdict(g, group, False, cert, "sumset", stats)
-
-
-# ---------------------------------------------------------------------------
-# screening (cheap randomized NO detection, used by the search)
-# ---------------------------------------------------------------------------
-
-
-def screen_no(
-    g: Digraph,
-    group: Group,
-    budget: int = 4096,
-    seed: int = 0,
-    reduced: Optional[ReducedInstance] = None,
-) -> Optional[Verdict]:
-    """Try to find a NO-certificate cheaply; None means 'no verdict'.
-
-    Samples random mappings from the restricted enumeration domain of the
-    fast engine (nonzero everywhere, distinct sign-normalized pairs
-    across 2-cuts) and checks them against all flows of each reduced
-    component.  Any hit is a verified certificate.
-    """
-    inst = reduced if reduced is not None else preprocess(g, group)
-    if inst.early_no is not None:
-        return Verdict(g, group, False, inst.early_no, "preprocess", {}, inst.steps)
-    rng = np.random.default_rng(seed)
-    for comp in inst.components:
-        cg = comp.graph
-        if not pack_supported(group, cg.m):
-            continue
-        try:
-            fi = FastInstance(cg, group)
-        except ValueError:
-            continue
-        packed = _packed_flows(cg, group, fi.cf.structure)
-        if packed is None:
-            continue
-        packer, flows = packed
-
-        # sample candidate class representatives: locally-valid tree digit
-        # patterns (distinct sign-normalized pairs across threads, zeros
-        # allowed elsewhere), placed on tree edges and checked against the
-        # full flow space -- unsatisfiable classes live only here, never
-        # in the nowhere-zero enumeration domain
-        coords, _ = fi._sweep_coords()
-        tree = fi.cf.structure.tree_edges
-        edge_tables = []
-        for values in coords:
-            vecs = []
-            for digits in values:
-                h = [0] * cg.m
-                for pos, d in enumerate(digits):
-                    if d:
-                        h[tree[pos]] = d
-                vecs.append(tuple(h))
-            edge_tables.append(_pack_columns(packer, vecs))
-        # sample in chunks so dense NO instances hit early without paying
-        # for the full budget
-        remaining = budget
-        while remaining > 0:
-            size = min(remaining, _SCREEN_CHUNK)
-            remaining -= size
-            words = None
-            for tab, values in zip(edge_tables, coords):
-                pick = rng.integers(0, len(values), size=size).astype(np.uint64)
-                cols = tuple(tab[f][pick] for f in range(len(tab)))
-                words = cols if words is None else packer.add(words, cols)
-            sat = _satisfied_mask(packer, flows, words, need="first")
-            bad = np.flatnonzero(~sat)
-            if len(bad):
-                h = packer.unpack(tuple(w[bad[0]] for w in words))
-                cert = inst.lift({comp.orig_edges[e]: h[e] for e in range(cg.m)})
-                return Verdict(g, group, False, cert, "screen", {"budget": budget}, inst.steps)
-    return None
 
 
 # ---------------------------------------------------------------------------

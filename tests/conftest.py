@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from groupconn.graphs import Digraph
+from groupconn.graphs import CUBE, Digraph  # noqa: F401  (CUBE is re-exported to the tests)
 from groupconn.groups import Z2, Z3, Z4, Z2xZ2
 
 
@@ -17,15 +17,6 @@ def complete_graph(n: int) -> Digraph:
 def cycle_graph(n: int) -> Digraph:
     return Digraph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
-
-CUBE = Digraph(
-    8,
-    (
-        (0, 1), (1, 2), (2, 3), (3, 0),
-        (4, 5), (5, 6), (6, 7), (7, 4),
-        (0, 4), (1, 5), (2, 6), (3, 7),
-    ),
-)
 
 PETERSEN = Digraph(
     10,

@@ -3,9 +3,8 @@ import json
 import pytest
 
 from groupconn import cli
-from groupconn.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, build_parser, main
+from groupconn.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from groupconn.graphs import encode_graph6
-from groupconn.search import SearchConfig
 from groupconn.solver import decide
 from groupconn.groups import Z4
 
@@ -153,7 +152,6 @@ def test_cli_search(capsys, tmp_path):
         "--groups", "z4,z2^2",
         "--order", "sequential",
         "--distinct-edges",
-        "--budget", "16384",
         "--output", str(out_path),
         "--max-witnesses", "1",
     )
@@ -186,6 +184,17 @@ def test_cli_search_bad_added(capsys, tmp_path):
     )
 
 
+def test_cli_search_refuses_foreign_checkpoint(capsys, tmp_path):
+    bases = tmp_path / "bases.g6"
+    bases.write_text(encode_graph6(complete_graph(4)) + "\n")
+    ckpt = str(tmp_path / "search.ckpt")
+    argv = ["search", "--bases", str(bases), "--added", "1", "--groups", "z4,z2^2", "--checkpoint", ckpt]
+    assert run(capsys, *argv)[0] == EXIT_YES
+    code, _, err = run(capsys, *argv, "--seed", "5", "--resume")
+    assert code == EXIT_ERROR
+    assert "different search configuration" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("groups", ["z4", "z4,z2^2,z8"])
 def test_cli_search_needs_two_groups(capsys, tmp_path, groups):
     bases = tmp_path / "bases.g6"
@@ -193,11 +202,6 @@ def test_cli_search_needs_two_groups(capsys, tmp_path, groups):
     code, _, err = run(capsys, "search", "--bases", str(bases), "--added", "1", "--groups", groups)
     assert code == EXIT_ERROR
     assert "exactly two" in err and "Traceback" not in err
-
-
-def test_cli_search_budget_default_matches_library():
-    args = build_parser().parse_args(["search", "--bases", "b.g6", "--added", "1", "--groups", "z4,z2^2"])
-    assert args.budget == SearchConfig().screen_budget
 
 
 def test_cli_unexpected_error_is_exit_2(capsys, monkeypatch, k4_file):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +23,7 @@ from conftest import CUBE, complete_graph
 
 K4 = complete_graph(4)
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
+PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
 def test_subdivision_multisets_count():
@@ -99,21 +101,23 @@ def test_search_rejects_mismatched_orders():
 
 
 def test_checkpoint_resume(tmp_path):
-    ckpt = str(tmp_path / "search.ckpt")
-    cfg = SearchConfig(
-        added=range(1, 2), order="sequential", checkpoint_path=ckpt, distinct_edges_only=True
-    )
-    list(discrepancy_search([K4], Z4, Z2xZ2, cfg))
-    assert int(open(ckpt).read()) == 6  # one task per K4 edge
+    ckpt = tmp_path / "search.ckpt"
+    base = dict(added=range(1, 2), order="sequential", checkpoint_path=str(ckpt), distinct_edges_only=True)
+    list(discrepancy_search([K4], Z4, Z2xZ2, SearchConfig(**base)))
+    assert json.loads(ckpt.read_text())["done"] == 6  # one task per K4 edge
     # resuming from a finished checkpoint does no work and emits nothing
-    cfg2 = SearchConfig(
-        added=range(1, 2),
-        order="sequential",
-        checkpoint_path=ckpt,
-        resume=True,
-        distinct_edges_only=True,
-    )
-    assert list(discrepancy_search([K4], Z4, Z2xZ2, cfg2)) == []
+    assert list(discrepancy_search([K4], Z4, Z2xZ2, SearchConfig(**base, resume=True))) == []
+    # a checkpoint resumes only the configuration that wrote it
+    for other in (dict(base, seed=1), dict(base, added=range(2, 3))):
+        with pytest.raises(ValueError, match="different search configuration"):
+            list(discrepancy_search([K4], Z4, Z2xZ2, SearchConfig(**other, resume=True)))
+    ckpt.write_text('{"done": 6, "finger')  # cut off mid-write
+    with pytest.raises(ValueError, match="unreadable checkpoint"):
+        list(discrepancy_search([K4], Z4, Z2xZ2, SearchConfig(**base, resume=True)))
+    # a missing checkpoint starts from the first task
+    ckpt.unlink()
+    list(discrepancy_search([K4], Z4, Z2xZ2, SearchConfig(**base, resume=True)))
+    assert json.loads(ckpt.read_text())["done"] == 6
 
 
 def test_run_search_stream(tmp_path):
@@ -131,8 +135,8 @@ def test_distinct_edges_only_filter():
     cfg_distinct = SearchConfig(added=range(2, 3), distinct_edges_only=True)
     from groupconn.search import _tasks
 
-    assert len(list(_tasks([K4], cfg_all.added, False))) == 21
-    assert len(list(_tasks([K4], cfg_distinct.added, True))) == 15  # C(6,2)
+    assert len(_tasks([K4], cfg_all)) == 21
+    assert len(_tasks([K4], cfg_distinct)) == 15  # C(6,2)
 
 
 def test_soundness_failure_is_fatal(monkeypatch, capsys):
@@ -147,16 +151,68 @@ def test_soundness_failure_is_fatal(monkeypatch, capsys):
     assert "failed:" not in capsys.readouterr().err
 
 
-def test_exact_search_refinds_cubic12_witness():
-    # neither randomized screen settles this candidate, so only exact mode
-    # reaches the full solves that expose it
+def test_task_failure_is_reported_with_replay_context(monkeypatch, capsys):
+    # an engine error costs one candidate, and its stderr line names what
+    # is needed to replay it
+    from groupconn import search
+
+    def broken(g, group):
+        raise RuntimeError("engine exploded")
+
+    monkeypatch.setattr(search, "decide", broken)
+    cfg = SearchConfig(added=range(1, 2), order="sequential", distinct_edges_only=True)
+    assert list(discrepancy_search([CUBE], Z4, Z2xZ2, cfg)) == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == CUBE.m  # every candidate reached the decides and failed there
+    assert lines[0] == (
+        "task 0 failed: base 0 counts [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] "
+        "groups z4,z2^2: RuntimeError('engine exploded')"
+    )
+    assert lines[-1].startswith(f"task {CUBE.m - 1} failed: base 0 counts ")
+
+
+def test_naive_crosscheck_failure_is_fatal(monkeypatch, capsys):
+    # a YES verdict that the naive engine contradicts stops the search
+    from groupconn import search
+
+    monkeypatch.setattr(search, "solve_naive", lambda g, group: SimpleNamespace(connected=False))
+    cfg = SearchConfig(added=range(3, 4), order="sequential", distinct_edges_only=True)
+    with pytest.raises(AssertionError, match="naive cross-check"):
+        list(discrepancy_search([CUBE], Z4, Z2xZ2, cfg))
+    assert "failed:" not in capsys.readouterr().err
+
+
+def test_search_is_complete_on_benchmark_round():
+    # the first 50 seed-7 cube+3 candidates hold 16 of the 48 discrepancies
+    # frozen (from the naive engine) in perfbench/expected.json; the search
+    # must emit exactly those, with their groups
+    from groupconn.search import _examine, _tasks
+
+    with open(os.path.join(PERFBENCH_DIR, "expected.json")) as fh:
+        frozen = json.load(fh)["search_cube3"]["witnesses"]
+    cfg = SearchConfig(added=range(3, 4), order="random", seed=7, distinct_edges_only=True)
+    tasks = _tasks([CUBE], cfg)[:50]
+    in_round = {t.counts for t in tasks}
+    want = {tuple(w["counts"]): (w["yes"], w["no"]) for w in frozen if tuple(w["counts"]) in in_round}
+    found = {}
+    for task in tasks:
+        w = _examine(task, Z4, Z2xZ2)
+        if w is not None:
+            found[w.counts] = (w.yes_group.spec_string(), w.no_group.spec_string())
+    assert len(want) == 16
+    assert found == want
+
+
+def test_search_refinds_cubic12_witness():
+    # the search decides every candidate that survives the cheap
+    # rejections, so the committed witness's own candidate yields it
     from groupconn.search import _examine
 
     with open(os.path.join(DATA_DIR, "witness_z22_yes_z4_no.json")) as fh:
         payload = json.load(fh)
     bases = load_bases(os.path.join(DATA_DIR, "cubic12.g6"))
     task = SearchTask(3, bases[3], tuple(payload["subdivision_counts"]))
-    w = _examine(task, Z4, Z2xZ2, SearchConfig(exact=True))
+    w = _examine(task, Z4, Z2xZ2)
     assert w is not None
     assert w.graph == Digraph(payload["graph"]["n"], tuple(tuple(e) for e in payload["graph"]["edges"]))
     assert w.yes_group == Z2xZ2 and w.no_group == Z4

@@ -13,7 +13,6 @@ from groupconn.solver import (
     decide,
     exists_nowhere_zero_flow,
     preprocess,
-    screen_no,
     solve_fast,
     solve_naive,
     solve_sumset,
@@ -329,32 +328,6 @@ def test_nzflow_order4_group_independence():
     for _ in range(40):
         n = rng.randint(2, 6); g = random_connected_loopfree(rng, n, rng.randint(n - 1, 9))
         assert exists_nowhere_zero_flow(g, Z4) == exists_nowhere_zero_flow(g, Z2xZ2)
-
-
-# -- screening ---------------------------------------------------------------
-
-
-def test_screen_no_sound():
-    # any certificate the screen returns must verify; YES graphs never screen NO
-    rng = random.Random(9)
-    for seed in range(25):
-        n = rng.randint(3, 6); g = random_connected_loopfree(rng, n, rng.randint(n - 1, 8))
-        for group in (Z4, Z2xZ2):
-            v = screen_no(g, group, budget=512, seed=seed)
-            if v is not None:
-                assert not v.connected
-                assert verify_certificate(g, group, v.certificate)
-                assert not oracle(g, group)
-
-
-def test_screen_no_finds_easy_no():
-    # C4 over Z4 is not connected and the screen should find that quickly
-    hits = 0
-    g = subdivide(CUBE, 0, 3)  # contains a length-4 thread: NO, caught by screen or preprocessing
-    for seed in range(5):
-        v = screen_no(cycle_graph(4), Z4, budget=256, seed=seed)
-        hits += v is not None
-    assert hits >= 1
 
 
 # -- verdict plumbing --------------------------------------------------------
