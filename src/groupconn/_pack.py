@@ -75,7 +75,6 @@ class Packer:
             low = full ^ high
             ones = _repeat_mask(1 << off, B, L)
             self._masks.append((b, off, full, high, low, ones))
-        self.zero = tuple(_U(0) for _ in group.factors)
 
     # -- scalar pack/unpack -------------------------------------------------
 

@@ -155,10 +155,11 @@ def cmd_search(args) -> int:
         distinct_edges_only=args.distinct_edges,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
+        max_witnesses=args.max_witnesses,
     )
     out = open(args.output, "a") if args.output else sys.stdout
     try:
-        found = run_search(bases, group_a, group_b, cfg, out, args.max_witnesses)
+        found = run_search(bases, group_a, group_b, cfg, out)
     finally:
         if args.output:
             out.close()

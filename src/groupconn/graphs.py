@@ -341,8 +341,6 @@ def structure_report(g: Digraph) -> tuple[set[int], list[list[int]], set[int]]:
     for s in range(g.n):
         if disc[s] != -1:
             continue
-        stack: list[tuple[int, int, int]] = [(s, -1, 0)]  # vertex, entry edge, child iter pos
-        order: list[tuple[int, int]] = []
         disc[s] = low[s] = timer
         timer += 1
         it_pos = {s: 0}

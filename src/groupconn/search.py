@@ -4,15 +4,15 @@ The pipeline subdivides edges of small base graphs (typically cubic),
 decides connectivity over two groups of equal order, and streams
 witnesses: graphs that are connected for exactly one of the two groups.
 
-Every candidate takes one exact path.  Two cheap rejections come first,
-each ruling out both groups at once: preprocessing early-NO (the rules
-depend only on the group order) and the nowhere-zero-flow prefilter.
-Then ``decide``, with its ``auto`` engine, settles both groups.  On a
-discrepancy the NO side's certificate is proved by ``verify_certificate``
-(flow enumeration, independent of the engine that found it), and the YES
-side of a small witness is cross-checked with the ``naive`` engine.
-Either check failing is an ``AssertionError`` that stops the search.
-Nothing is sampled; the only randomness is the task order.
+Every candidate takes one exact path: ``decide``, with its ``auto``
+engine, settles both groups (its preprocessing already answers NO for a
+bridge, a long thread or a long cycle, and sumset answers NO when there
+is no nowhere-zero flow).  On a discrepancy the NO side's certificate is
+proved by ``verify_certificate`` (flow enumeration, independent of the
+engine that found it), and the YES side of a small witness is
+cross-checked by deciding it again with the ``naive`` engine.  Either
+check failing is an ``AssertionError`` that stops the search.  Nothing
+is sampled; the only randomness is the task order.
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ from typing import ClassVar, Iterator, Optional, TextIO
 from .flows import spanning_structure
 from .graphs import Digraph, parse_graph6, subdivide
 from .groups import Group
-from .solver import (
-    decide,
-    exists_nowhere_zero_flow,
-    preprocess,
-    solve_naive,
-    verify_certificate,
-)
+from .solver import certificate_entries, decide, verify_certificate
 
 # a witness's YES side is cross-checked with `naive` only when that is cheap
 NAIVE_CROSSCHECK_RANK = 6  # cycle rank cap
@@ -76,14 +70,7 @@ class Witness:
                 },
                 "yes_group": self.yes_group.spec_string(),
                 "no_group": self.no_group.spec_string(),
-                "certificate": [
-                    {
-                        "tail": self.graph.edges[e][0],
-                        "head": self.graph.edges[e][1],
-                        "forbidden": self.no_group.format_element(v),
-                    }
-                    for e, v in enumerate(self.certificate)
-                ],
+                "certificate": certificate_entries(self.graph, self.no_group, self.certificate),
                 "base_index": self.base_index,
                 "subdivision_counts": list(self.counts),
                 "elapsed": round(self.elapsed, 3),
@@ -116,7 +103,7 @@ class SearchConfig:
     distinct_edges_only: bool = False
     checkpoint_path: Optional[str] = None
     resume: bool = False
-    log: Optional[TextIO] = None
+    max_witnesses: Optional[int] = None  # stop after this many; not part of the fingerprint
     # not a setting: the search samples nothing; kept because the frozen
     # benchmark harness (perfbench/run.py) still reads it
     screen_budget: ClassVar[int] = 0
@@ -175,8 +162,12 @@ def discrepancy_search(
 ) -> Iterator[Witness]:
     """Stream verified witnesses where group_a and group_b verdicts differ.
 
-    With ``resume``, a checkpoint written for another configuration, or
-    one that cannot be read, is a ``ValueError``.
+    The checkpoint records a task only after the consumer asks for the
+    next witness, so a witness whose consumer dies holding it is emitted
+    again on resume.  With ``max_witnesses`` the stream ends after the
+    checkpoint of the last witness's task is written, so a resumed run
+    starts past it.  With ``resume``, a checkpoint written for another
+    configuration, or one that cannot be read, is a ``ValueError``.
     """
     cfg = config or SearchConfig()
     if group_a.order != group_b.order:
@@ -187,9 +178,12 @@ def discrepancy_search(
     if cfg.resume and cfg.checkpoint_path:
         start_at = _read_checkpoint(cfg.checkpoint_path, fingerprint)
 
+    found = 0
     for done, task in enumerate(tasks):
         if done < start_at:
             continue
+        if cfg.max_witnesses is not None and found >= cfg.max_witnesses:
+            return
         try:
             w = _examine(task, group_a, group_b)
         except AssertionError:
@@ -203,6 +197,7 @@ def discrepancy_search(
             w = None
         if w is not None:
             yield w
+            found += 1
         if cfg.checkpoint_path:
             _write_checkpoint(cfg.checkpoint_path, fingerprint, done + 1)
 
@@ -210,15 +205,6 @@ def discrepancy_search(
 def _examine(task: SearchTask, group_a: Group, group_b: Group) -> Optional[Witness]:
     t0 = time.perf_counter()
     g = task.build()
-
-    # the reduction rules depend only on the group order, so an early NO
-    # (bridge / long cycle / long thread) rules out both groups at once
-    if preprocess(g, group_a).early_no is not None:
-        return None
-    # no nowhere-zero flow means NO for every group of that order
-    if not exists_nowhere_zero_flow(g, group_a):
-        return None
-
     va, vb = decide(g, group_a), decide(g, group_b)
     if va.connected == vb.connected:
         return None
@@ -235,8 +221,7 @@ def _examine(task: SearchTask, group_a: Group, group_b: Group) -> Optional[Witne
 
 def _crosscheck(g: Digraph, yes: Group) -> None:
     """Confirm a YES verdict with the naive engine (a NO is proved by its certificate)."""
-    inst = preprocess(g, yes)
-    if inst.early_no is not None or not all(solve_naive(c.graph, yes).connected for c in inst.components):
+    if not decide(g, yes, "naive").connected:
         raise AssertionError(f"naive cross-check disagrees for {yes.spec_string()}")
 
 
@@ -257,7 +242,6 @@ def run_search(
     group_b: Group,
     config: SearchConfig,
     out: TextIO,
-    max_witnesses: Optional[int] = None,
 ) -> int:
     """Drive the search, writing NDJSON witness lines; returns the count."""
     found = 0
@@ -265,6 +249,4 @@ def run_search(
         out.write(w.to_json() + "\n")
         out.flush()
         found += 1
-        if max_witnesses is not None and found >= max_witnesses:
-            break
     return found

@@ -27,8 +27,7 @@ spanning tree.  The first three are kept as reference oracles.
 bridges, short cycles, long threads) and knows how to lift certificates
 back to the original graph; ``decide`` glues everything together.  It is
 also the one place that resolves ``algorithm="auto"``: ultra-naive
-without preprocessing, else sumset when |G|^(n-1) <= SUMSET_LIMIT, else
-fast.
+without preprocessing, else sumset on every reduced component.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .flows import (
     SpanningStructure,
     find_satisfying_flow,
     flow_from_nontree,
-    has_nowhere_zero_flow,
     iter_flow_assignments,
     spanning_structure,
 )
@@ -61,6 +59,14 @@ SUMSET_LIMIT = 2**28  # cap on the boundary array (one byte per boundary)
 CHUNK = 1 << 21  # vectorized enumeration chunk size
 
 PackedCols = tuple  # one numpy uint64 array per group factor
+
+
+def certificate_entries(g: Digraph, group: Group, cert: Sequence[int]) -> list[dict]:
+    """A certificate as JSON entries, one {tail, head, forbidden} per edge."""
+    return [
+        {"tail": g.edges[e][0], "head": g.edges[e][1], "forbidden": group.format_element(v)}
+        for e, v in enumerate(cert)
+    ]
 
 
 @dataclass
@@ -90,14 +96,7 @@ class Verdict:
             "preprocessing": list(self.preprocessing),
         }
         if self.certificate is not None:
-            payload["certificate"] = [
-                {
-                    "tail": self.graph.edges[e][0],
-                    "head": self.graph.edges[e][1],
-                    "forbidden": self.group.format_element(v),
-                }
-                for e, v in enumerate(self.certificate)
-            ]
+            payload["certificate"] = certificate_entries(self.graph, self.group, self.certificate)
         return json.dumps(payload, indent=indent)
 
 
@@ -427,7 +426,11 @@ def _place(m: int, positions: Sequence[int], values: Sequence[int]) -> EdgeVecto
 
 
 def verify_certificate(g: Digraph, group: Group, h: Sequence[int]) -> bool:
-    """True when h is a valid NO-certificate: no flow avoids it everywhere."""
+    """True when h is a valid NO-certificate: no flow avoids it everywhere.
+
+    Every flow is checked against h in one vectorized pass (or, when the
+    flows do not fit the packed layout, by the scalar flow search).
+    """
     if len(h) != g.m:
         raise ValueError("certificate length mismatch")
     for v in h:
@@ -441,8 +444,7 @@ def verify_certificate(g: Digraph, group: Group, h: Sequence[int]) -> bool:
     packed = _packed_flows(g, group, s)
     if packed is not None:
         packer, flows = packed
-        hs = _pack_columns(packer, [h])
-        return not bool(_satisfied_mask(packer, flows, hs)[0])
+        return not packer.all_nonzero(packer.add(flows, packer.neg(packer.pack(h)))).any()
     return find_satisfying_flow(g, group, h) is None
 
 
@@ -866,15 +868,7 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
 
 def exists_nowhere_zero_flow(g: Digraph, group: Group) -> bool:
     """Whether g has a flow avoiding zero on every non-loop edge."""
-    _, gg = _without_loops(g)
-    if gg.m == 0:
-        return True
-    s = spanning_structure(gg)
-    packed = _packed_flows(gg, group, s)
-    if packed is not None:
-        packer, flows = packed
-        return bool(packer.all_nonzero(flows).any())
-    return has_nowhere_zero_flow(gg, group) is not None
+    return not verify_certificate(g, group, (0,) * g.m)
 
 
 def decide(
@@ -888,19 +882,15 @@ def decide(
 
     ``algorithm`` is one of "ultra", "naive", "fast", "sumset", "auto".
     "auto" picks ultra-naive when ``use_preprocessing`` is False, else
-    sumset when |G|^(n-1) <= SUMSET_LIMIT, else fast, with n that of the
-    input graph.  Only the ultra-naive engine supports
+    sumset, which checks SUMSET_LIMIT on each reduced component (the
+    ``fast`` table is capped at the same |G|^(n_c-1), so it would fail
+    wherever sumset does).  Only the ultra-naive engine supports
     ``use_preprocessing=False`` (it is the oracle the preprocessing is
-    validated against).
+    validated against).  Component stats are summed.
     """
     t0 = time.perf_counter()
     if algorithm == "auto":
-        if not use_preprocessing:
-            algorithm = "ultra"
-        elif group.order ** (g.n - 1) <= SUMSET_LIMIT:
-            algorithm = "sumset"
-        else:
-            algorithm = "fast"
+        algorithm = "sumset" if use_preprocessing else "ultra"
     if not use_preprocessing:
         if algorithm != "ultra":
             raise ValueError("only the ultra-naive engine can run without preprocessing")
@@ -933,12 +923,7 @@ def decide(
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         for key, val in v.stats.items():
-            if isinstance(val, bool):
-                stats[key] = val
-            elif isinstance(val, (int, float)):
-                stats[key] = stats.get(key, 0) + val
-            else:
-                stats[key] = val
+            stats[key] = stats.get(key, 0) + val
         if not v.connected:
             cert = inst.lift({comp.orig_edges[e]: v.certificate[e] for e in range(comp.graph.m)})
             stats["elapsed_total"] = time.perf_counter() - t0

@@ -1,7 +1,6 @@
 import io
 import json
 import os
-from types import SimpleNamespace
 
 import pytest
 
@@ -122,12 +121,55 @@ def test_checkpoint_resume(tmp_path):
 
 def test_run_search_stream(tmp_path):
     out = io.StringIO()
-    cfg = SearchConfig(added=range(3, 4), order="sequential", distinct_edges_only=True)
-    found = run_search([CUBE], Z4, Z2xZ2, cfg, out, max_witnesses=1)
+    cfg = SearchConfig(added=range(3, 4), order="sequential", distinct_edges_only=True, max_witnesses=1)
+    found = run_search([CUBE], Z4, Z2xZ2, cfg, out)
     assert found == 1
     lines = [ln for ln in out.getvalue().splitlines() if ln]
     assert len(lines) == 1
     json.loads(lines[0])
+
+
+def _emitted_counts(out: io.StringIO) -> list[list[int]]:
+    return [json.loads(ln)["subdivision_counts"] for ln in out.getvalue().splitlines() if ln]
+
+
+def _emitted_counts_of(cfg: SearchConfig) -> list[list[int]]:
+    out = io.StringIO()
+    run_search([CUBE], Z4, Z2xZ2, cfg, out)
+    return _emitted_counts(out)
+
+
+def test_resume_after_max_witnesses_emits_a_fresh_witness(tmp_path):
+    # a run stopped at its last witness checkpoints that witness's task,
+    # so the resumed run goes on to the next witness
+    base = dict(added=range(3, 4), order="sequential", distinct_edges_only=True)
+    every = _emitted_counts_of(SearchConfig(**base, max_witnesses=3))
+    ckpt = dict(base, checkpoint_path=str(tmp_path / "search.ckpt"))
+    first, resumed = io.StringIO(), io.StringIO()
+    assert run_search([CUBE], Z4, Z2xZ2, SearchConfig(**ckpt, max_witnesses=2), first) == 2
+    assert run_search([CUBE], Z4, Z2xZ2, SearchConfig(**ckpt, max_witnesses=1, resume=True), resumed) == 1
+    assert _emitted_counts(first) + _emitted_counts(resumed) == every
+
+
+def test_resume_reemits_a_witness_its_consumer_dropped(tmp_path):
+    # a consumer that dies holding a witness never asks for the next one,
+    # so that witness's task is not checkpointed and comes again on resume
+    class BrokenOut(io.StringIO):
+        def write(self, text):
+            raise OSError("disk full")
+
+    cfg = dict(
+        added=range(3, 4),
+        order="sequential",
+        distinct_edges_only=True,
+        checkpoint_path=str(tmp_path / "search.ckpt"),
+        max_witnesses=1,
+    )
+    with pytest.raises(OSError, match="disk full"):
+        run_search([CUBE], Z4, Z2xZ2, SearchConfig(**cfg), BrokenOut())
+    out = io.StringIO()
+    assert run_search([CUBE], Z4, Z2xZ2, SearchConfig(**cfg, resume=True), out) == 1
+    assert _emitted_counts(out) == _emitted_counts_of(SearchConfig(**dict(cfg, checkpoint_path=None)))
 
 
 def test_distinct_edges_only_filter():
@@ -173,9 +215,12 @@ def test_task_failure_is_reported_with_replay_context(monkeypatch, capsys):
 
 def test_naive_crosscheck_failure_is_fatal(monkeypatch, capsys):
     # a YES verdict that the naive engine contradicts stops the search
-    from groupconn import search
+    from groupconn import solver
 
-    monkeypatch.setattr(search, "solve_naive", lambda g, group: SimpleNamespace(connected=False))
+    def contradicting_naive(g, group):
+        return solver.Verdict(g, group, False, (0,) * g.m, "naive")
+
+    monkeypatch.setattr(solver, "solve_naive", contradicting_naive)
     cfg = SearchConfig(added=range(3, 4), order="sequential", distinct_edges_only=True)
     with pytest.raises(AssertionError, match="naive cross-check"):
         list(discrepancy_search([CUBE], Z4, Z2xZ2, cfg))
@@ -204,8 +249,8 @@ def test_search_is_complete_on_benchmark_round():
 
 
 def test_search_refinds_cubic12_witness():
-    # the search decides every candidate that survives the cheap
-    # rejections, so the committed witness's own candidate yields it
+    # the search decides every candidate, so the committed witness's own
+    # candidate yields it
     from groupconn.search import _examine
 
     with open(os.path.join(DATA_DIR, "witness_z22_yes_z4_no.json")) as fh:

@@ -7,7 +7,6 @@ from groupconn import solver
 from groupconn.flows import find_satisfying_flow
 from groupconn.graphs import Digraph, structure_report, subdivide
 from groupconn.groups import Z2, Z3, Z4, Z2xZ2, make_group
-from groupconn.search import enumerate_subdivisions
 from groupconn.solver import (
     Verdict,
     decide,
@@ -269,11 +268,15 @@ def test_auto_picks_sumset():
     assert decide(complete_graph(4), Z4, use_preprocessing=False).algorithm == "ultra-naive"
 
 
-def test_auto_falls_back_to_fast_above_sumset_limit(monkeypatch):
-    workload = list(enumerate_subdivisions(CUBE, 2))  # n = 10: |Z4|^9 boundaries
-    assert all(decide(g, Z4).algorithm == "sumset" for g in workload)
+def test_auto_checks_the_sumset_limit_per_reduced_component(monkeypatch):
+    # n = 10, but the saturated thread on edge 0 is deleted, leaving an
+    # 8-vertex component: |Z4|^7 boundaries, under a limit of 4^9 - 1
+    g = subdivide(CUBE, 0, 2)
+    want = decide(g, Z4)
     monkeypatch.setattr(solver, "SUMSET_LIMIT", 4**9 - 1)
-    assert all(decide(g, Z4).algorithm == "fast" for g in workload)
+    v = decide(g, Z4)
+    assert v.algorithm == "sumset"
+    assert (v.connected, v.certificate) == (want.connected, want.certificate)
 
 
 # -- known verdicts ----------------------------------------------------------
