@@ -1,10 +1,10 @@
 """Packed vectorized arithmetic on fixed-length vectors of group elements.
 
-A vector of L group elements (an edge vector, or the tree digits of a
-class key) is packed into one int64 per cyclic factor, with element i's
-factor digit stored in bit lane i.  Group addition then becomes a couple
-of bitwise operations on whole numpy arrays, which is what makes the
-exhaustive enumeration loops fast.
+A vector of L group elements (the tree digits of a class key) is packed
+into one int64 per cyclic factor, with element i's factor digit stored
+in bit lane i.  Group addition then becomes a couple of bitwise
+operations on whole numpy arrays, which is what makes the ``fast``
+oracle's marking and sweep loops fast.
 
 For groups of power-of-two order the lanes of all factors interleave into
 the dense mixed-radix element index, so the OR of the factor words IS the
@@ -66,15 +66,12 @@ class Packer:
                 raise ValueError(f"vector of {length} elements does not fit packed lanes")
             self.field_offsets = [0] * len(group.factors)
         B, L = self.lane_bits, length
-        self.lane_ones = _repeat_mask(1, B, L)
         self._masks = []
         for f, off in zip(group.factors, self.field_offsets):
             b = (f - 1).bit_length()
             full = _repeat_mask(((1 << b) - 1) << off, B, L)
             high = _repeat_mask(1 << (off + b - 1), B, L)
-            low = full ^ high
-            ones = _repeat_mask(1 << off, B, L)
-            self._masks.append((b, off, full, high, low, ones))
+            self._masks.append((b, off, high, full ^ high))
 
     # -- scalar pack/unpack -------------------------------------------------
 
@@ -109,7 +106,7 @@ class Packer:
     def add(self, x, y) -> tuple:
         out = []
         for j, f in enumerate(self.group.factors):
-            b, off, full, high, low, ones = self._masks[j]
+            b, _, high, low = self._masks[j]
             a, c = x[j], y[j]
             if self.pow2 and b == 1:
                 out.append(a ^ c)  # a Z2 factor: one bit per lane, so addition is XOR
@@ -120,35 +117,6 @@ class Packer:
                 fix = (t + _U(_repeat_mask(8 - f, 4, self.length))) & _U(_repeat_mask(8, 4, self.length))
                 out.append(t - _U(f) * (fix >> _U(3)))
         return tuple(out)
-
-    def neg(self, x) -> tuple:
-        out = []
-        for j, f in enumerate(self.group.factors):
-            b, off, full, high, low, ones = self._masks[j]
-            if self.pow2:
-                comp = x[j] ^ _U(full)
-                out.append(((comp & _U(low)) + _U(ones & low)) ^ ((comp ^ _U(ones)) & _U(high)))
-            else:
-                t = _U(_repeat_mask(f, 4, self.length)) - x[j]
-                fix = (t + _U(_repeat_mask(8 - f, 4, self.length))) & _U(_repeat_mask(8, 4, self.length))
-                out.append(t - _U(f) * (fix >> _U(3)))
-        return tuple(out)
-
-    def nonzero_lanes(self, x):
-        """Word (array) with the low bit of each lane set where that lane is nonzero."""
-        folded = None
-        for j, _f in enumerate(self.group.factors):
-            b, off, *_ = self._masks[j]
-            y = x[j] >> _U(off)
-            for s in range(1, b):
-                y = y | (x[j] >> _U(off + s))
-            y = y & _U(self.lane_ones)
-            folded = y if folded is None else (folded | y)
-        return folded
-
-    def all_nonzero(self, x):
-        """Boolean (array): every one of the `length` lanes holds a nonzero element."""
-        return self.nonzero_lanes(x) == _U(self.lane_ones)
 
     # -- dense key conversion -------------------------------------------------
 

@@ -16,11 +16,11 @@ import json
 import sys
 from typing import Optional
 
-from .flows import all_flows, find_satisfying_flow, spanning_structure
+from .flows import all_flows, spanning_structure
 from .graphs import Digraph, GraphParseError, parse_graph
 from .groups import Group, parse_group
 from .search import SearchConfig, load_bases, run_search
-from .solver import decide, exists_nowhere_zero_flow, verify_certificate
+from .solver import avoiding_flow, decide
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -76,14 +76,10 @@ def cmd_test(args) -> int:
 def cmd_nzflow(args) -> int:
     g = _load_graph(args.graph, args.format)
     group = _load_group(args.group)
-    exists = exists_nowhere_zero_flow(g, group)
-    witness: Optional[list[str]] = None
-    if exists and g.m:
-        flow = find_satisfying_flow(g, group, tuple([0] * g.m))
-        if flow is not None:
-            witness = [group.format_element(v) for v in flow]
-    print(json.dumps({"group": group.spec_string(), "exists": exists, "flow": witness}))
-    return EXIT_YES if exists else EXIT_NO
+    flow = avoiding_flow(g, group, (0,) * g.m)
+    witness = None if flow is None else [group.format_element(v) for v in flow]
+    print(json.dumps({"group": group.spec_string(), "exists": flow is not None, "flow": witness}))
+    return EXIT_NO if flow is None else EXIT_YES
 
 
 def _read_certificate(path: str, g: Digraph, group: Group) -> list[int]:
@@ -117,13 +113,12 @@ def cmd_certify(args) -> int:
     g = _load_graph(args.graph, args.format)
     group = _load_group(args.group)
     cert = _read_certificate(args.certificate, g, group)
-    ok = verify_certificate(g, group, cert)
-    result = {"group": group.spec_string(), "unsatisfiable": ok}
-    if not ok:
-        flow = find_satisfying_flow(g, group, tuple(cert))
+    flow = avoiding_flow(g, group, cert)
+    result = {"group": group.spec_string(), "unsatisfiable": flow is None}
+    if flow is not None:
         result["satisfying_flow"] = [group.format_element(v) for v in flow]
     print(json.dumps(result))
-    return EXIT_YES if ok else EXIT_NO
+    return EXIT_YES if flow is None else EXIT_NO
 
 
 def cmd_flows(args) -> int:

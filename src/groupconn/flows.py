@@ -136,21 +136,6 @@ def flow_from_nontree(
     return tuple(values)
 
 
-def iter_flow_assignments(group: Group, rank: int) -> Iterator[tuple[int, ...]]:
-    """All non-tree assignments in lexicographic order (last digit fastest)."""
-    k = group.order
-    cur = [0] * rank
-    while True:
-        yield tuple(cur)
-        i = rank - 1
-        while i >= 0 and cur[i] == k - 1:
-            cur[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        cur[i] += 1
-
-
 def iter_flows(g: Digraph, group: Group, s: Optional[SpanningStructure] = None) -> Iterator[EdgeVector]:
     """All flows, in lexicographic order of their non-tree assignments.
 
@@ -205,7 +190,3 @@ def find_satisfying_flow(g: Digraph, group: Group, h: Sequence[int]) -> Optional
             return phi
     return None
 
-
-def has_nowhere_zero_flow(g: Digraph, group: Group) -> Optional[EdgeVector]:
-    """A nowhere-zero flow if one exists (forbidden values all zero), else None."""
-    return find_satisfying_flow(g, group, [0] * g.m)

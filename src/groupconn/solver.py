@@ -19,9 +19,13 @@ Four engines share the same contract:
   (Jaeger, Linial, Payan and Tarsi, JCTB 56, 1992), held as a bool array
   over every zero-sum boundary.
 
-The first two share one packed enumerate-and-check loop and differ only
-in the edges whose values they enumerate: every edge, or the edges of a
-spanning tree.  The first three are kept as reference oracles.
+The first two share one flow-check kernel and differ only in the edges
+whose values they enumerate: every edge, or the edges of a spanning
+tree.  The kernel builds the flows as rows of element indices and counts
+the flows avoiding every mapping with one Boolean matrix product;
+``avoiding_flow`` (behind ``verify_certificate``) scans the same flow
+rows against a single mapping.  Only ``solve_fast`` packs group elements
+into bit lanes.  The first three engines are kept as reference oracles.
 
 ``preprocess`` shrinks an instance with always-sound reductions (loops,
 bridges, short cycles, long threads) and knows how to lift certificates
@@ -32,23 +36,17 @@ without preprocessing, else sumset on every reduced component.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from ._pack import Packer, pack_supported
 from .classes import ClassFunction
-from .flows import (
-    EdgeVector,
-    SpanningStructure,
-    find_satisfying_flow,
-    flow_from_nontree,
-    iter_flow_assignments,
-    spanning_structure,
-)
+from .flows import EdgeVector, SpanningStructure, flow_from_nontree, spanning_structure
 from .graphs import CycleComponent, Digraph, Thread, structure_report, thread_profile
 from .groups import Group
 
@@ -258,152 +256,56 @@ def preprocess(g: Digraph, group: Group) -> ReducedInstance:
 
 
 # ---------------------------------------------------------------------------
-# packed machinery shared by the engines
+# the flow-check kernel shared by the oracles and the certificate check
 # ---------------------------------------------------------------------------
 
 
-def _packed_flows(g: Digraph, group: Group, s: SpanningStructure):
-    """All flows of g, packed into per-factor uint64 arrays, or None if unsupported."""
-    if not pack_supported(group, g.m):
-        return None
-    k = group.order
-    rank = s.rank
-    if k**rank > ULTRA_NAIVE_LIMIT:
-        return None
-    packer = Packer(group, g.m)
+def _flow_rows(
+    g: Digraph, group: Group, s: SpanningStructure, values: Sequence[Sequence[int]], rows: int
+) -> Iterator[np.ndarray]:
+    """Yield the flows of g whose c-th non-tree edge takes a value in values[c].
+
+    Each flow is a uint8 row of element indices, one per edge; the rows
+    come in the lexicographic order of their non-tree values (as in
+    ``flows.iter_flows``), in chunks of at most ``rows`` (but at least one).
+    The sums of the trailing non-tree coordinates are built once, and a
+    chunk adds one combination of the leading ones to all of them, through
+    the group's Cayley table.
+    """
+    k, m = group.order, g.m
+    add = np.array([[group.add(a, b) for b in range(k)] for a in range(k)], dtype=np.uint8)
     tables = [
-        _pack_columns(
-            packer,
-            [flow_from_nontree(g, group, s, [v if i == j else 0 for i in range(rank)]) for v in range(k)],
+        np.array(
+            [flow_from_nontree(g, group, s, [a if i == c else 0 for i in range(s.rank)]) for a in vals],
+            dtype=np.uint8,
         )
-        for j in range(rank)
+        for c, vals in enumerate(values)
     ]
-    return packer, _packed_sums(packer, tables)
-
-
-def _pack_columns(packer: Packer, vectors: Sequence[Sequence[int]]) -> PackedCols:
-    """Pack a list of vectors into per-factor numpy columns."""
-    packed = [packer.pack(tuple(v)) for v in vectors]
-    nfac = len(packer.group.factors)
-    return tuple(np.array([p[f] for p in packed], dtype=np.uint64) for f in range(nfac))
-
-
-_FLOW_PASS_CAP = 512
-
-
-def _satisfied_mask(packer: Packer, flows: PackedCols, hs: PackedCols) -> np.ndarray:
-    """For each packed mapping in hs, whether some flow avoids it everywhere.
-
-    Two phases: sweep the first few hundred flows over the whole batch
-    (satisfies almost everything on YES-like instances), then settle the
-    stragglers one by one against the full flow space.  The straggler
-    phase stops at the first mapping confirmed unsatisfied, which is all
-    any caller needs; stragglers after it stay False.
-    """
-    n = len(hs[0])
-    total_flows = len(flows[0])
-    out = np.zeros(n, dtype=bool)
-    # flows with many nonzero lanes satisfy far more mappings (a flow must
-    # be nonzero wherever the mapping is zero), so scan those first
-    # (lane counts fit int8, for which numpy's stable sort is a radix sort)
-    lanes = np.bitwise_count(packer.nonzero_lanes(flows)).astype(np.int8)
-    order = np.argsort(-lanes, kind="stable")
-    neg_hs = packer.neg(hs)
-    scanned = 0
-    idx = np.arange(n)
-    while scanned < total_flows:
-        if len(idx) == 0:
-            return out
-        if scanned >= _FLOW_PASS_CAP and len(idx) <= 32:
-            break  # settle the few stragglers with bulk scans instead
-        flow = tuple(w[order[scanned]] for w in flows)
-        diff = packer.add(flow, tuple(h[idx] for h in neg_hs))
-        ok = packer.all_nonzero(diff)
-        out[idx[ok]] = True
-        idx = idx[~ok]
-        scanned += 1
-    block = max(1, CHUNK // 4)
-    for j in idx:
-        neg_h = tuple(w[j] for w in neg_hs)
-        for start in range(scanned, total_flows, block):
-            pick = order[start : start + block]
-            fb = tuple(w[pick] for w in flows)
-            if bool(packer.all_nonzero(packer.add(fb, neg_h)).any()):
-                out[j] = True
-                break
-        if not out[j]:
-            break
-    return out
-
-
-def _mixed_radix_digits(sizes: Sequence[int], start: int, count: int):
-    """Yield (c, digits of coordinate c) for enumeration indices start..start+count-1.
-
-    Coordinate 0 is the most significant digit; coordinates are yielded
-    from the least significant one up, one array at a time.
-    """
-    idx = np.arange(start, start + count)
-    period = 1
-    for c in reversed(range(len(sizes))):
-        yield c, (idx // period) % sizes[c]
-        period *= sizes[c]
-
-
-def _enumerate_packed(packer: Packer, tables: list[PackedCols], sizes: list[int], start: int, count: int) -> PackedCols:
-    """Packed sums over a mixed-radix product of contribution tables.
-
-    ``tables[c]`` holds per-factor columns for coordinate c; coordinate 0
-    is the most significant digit of the enumeration index.
-    """
-    words = None
-    for c, digit in _mixed_radix_digits(sizes, start, count):
-        cols = tuple(col[digit] for col in tables[c])
-        words = cols if words is None else packer.add(words, cols)
-    return words
-
-
-def _packed_sums(packer: Packer, tables: Sequence[PackedCols]) -> PackedCols:
-    """Packed sums over the whole mixed-radix product of contribution tables.
-
-    ``tables[c]`` holds per-factor columns for coordinate c, one entry per
-    value; coordinate 0 is the most significant digit of the result's
-    index.  The product grows outward from the least significant
-    coordinate, so each sum costs one add rather than one per coordinate.
-    """
-    words = tuple(np.zeros(1, dtype=np.uint64) for _ in packer.group.factors)
-    for cols in reversed(tables):
-        grown = packer.add(tuple(c[:, None] for c in cols), tuple(w[None, :] for w in words))
-        words = tuple(w.ravel() for w in grown)
-    return words
-
-
-def _chunked_sums(packer: Packer, tables: list[PackedCols]):
-    """Yield (start, packed sums) chunks of the product of tables, in index order.
-
-    The low coordinates are the longest suffix whose product is at most
-    CHUNK; their sums are built once, and a chunk adds one value of the
-    high coordinates to all of them.  (``FastInstance`` keeps summing
-    coordinate by coordinate through ``_enumerate_packed``.  With sums
-    built this way its marking runs several times faster, but its two
-    ``thread_opt`` modes then differ only in how many mappings they
-    enumerate, and the thread-optimization speedup of acceptance
-    criterion 7 falls from about 12x to under 4x.)
-    """
     split, low = len(tables), 1
-    while split and low * len(tables[split - 1][0]) <= CHUNK:
+    while split and low * len(tables[split - 1]) <= rows:
         split -= 1
-        low *= len(tables[split][0])
-    low_words = _packed_sums(packer, tables[split:])
-    if not split:
-        yield 0, low_words
-        return
-    high_words = _packed_sums(packer, tables[:split])
-    for i in range(len(high_words[0])):
-        yield i * low, packer.add(low_words, tuple(w[i] for w in high_words))
+        low *= len(tables[split])
+    sums = np.zeros((1, m), dtype=np.uint8)
+    for t in reversed(tables[split:]):
+        sums = add[t[:, None, :], sums[None, :, :]].reshape(-1, m)
+    for digits in itertools.product(*(range(len(t)) for t in tables[:split])):
+        lead = np.zeros(m, dtype=np.uint8)
+        for t, d in zip(tables, digits):
+            lead = add[lead, t[d]]
+        yield add[lead, sums]
 
 
-def _unit_vectors(m: int, e: int, k: int) -> list[tuple[int, ...]]:
-    return [tuple(v if i == e else 0 for i in range(m)) for v in range(k)]
+def _differs(cols: np.ndarray, k: int) -> np.ndarray:
+    """out[f, j]: row f of cols differs from the j-th digit tuple in every column.
+
+    j runs over all k**ncols digit tuples in lexicographic order, column 0
+    the most significant digit.
+    """
+    out = np.ones((len(cols), 1), dtype=bool)
+    for col in cols.T:
+        ne = col[:, None] != np.arange(k, dtype=np.uint8)
+        out = (out[:, :, None] & ne[:, None, :]).reshape(len(cols), -1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -425,27 +327,40 @@ def _place(m: int, positions: Sequence[int], values: Sequence[int]) -> EdgeVecto
     return tuple(h)
 
 
-def verify_certificate(g: Digraph, group: Group, h: Sequence[int]) -> bool:
-    """True when h is a valid NO-certificate: no flow avoids it everywhere.
+def avoiding_flow(g: Digraph, group: Group, h: Sequence[int]) -> Optional[EdgeVector]:
+    """The first flow of g, in ``flows.iter_flows`` order, that differs from h on every edge.
 
-    Every flow is checked against h in one vectorized pass (or, when the
-    flows do not fit the packed layout, by the scalar flow search).
+    None when there is none, i.e. when h is a valid NO-certificate.  A
+    non-tree edge only takes values other than h's, so at most
+    (|G|-1)^rank flows are built, a chunk at a time.  Raises ValueError once
+    ULTRA_NAIVE_LIMIT flows are checked without finding one.
     """
     if len(h) != g.m:
         raise ValueError("certificate length mismatch")
     for v in h:
         group.check(v)
     # a flow puts arbitrary values on loops, so loops never block one
-    core, g = _without_loops(g)
-    h = tuple(h[i] for i in core)
-    if g.m == 0:
-        return False
-    s = spanning_structure(g)
-    packed = _packed_flows(g, group, s)
-    if packed is not None:
-        packer, flows = packed
-        return not packer.all_nonzero(packer.add(flows, packer.neg(packer.pack(h)))).any()
-    return find_satisfying_flow(g, group, h) is None
+    core, gg = _without_loops(g)
+    s = spanning_structure(gg)
+    hc = np.array([h[e] for e in core], dtype=np.uint8)
+    values = [[a for a in range(group.order) if a != hc[e]] for e in s.nontree_edges]
+    checked = 0
+    for flows in _flow_rows(gg, group, s, values, CHUNK // max(gg.m, 1)):
+        if checked >= ULTRA_NAIVE_LIMIT:
+            raise ValueError(f"no avoiding flow among the first {checked} flows; the rest exceed the check's limit")
+        ok = (flows != hc).all(axis=1)
+        if ok.any():
+            flow = [0 if v else 1 for v in h]  # loops: any value other than h's
+            for e, v in zip(core, flows[int(np.argmax(ok))]):
+                flow[e] = int(v)
+            return tuple(flow)
+        checked += len(flows)
+    return None
+
+
+def verify_certificate(g: Digraph, group: Group, h: Sequence[int]) -> bool:
+    """True when h is a valid NO-certificate: no flow avoids it everywhere."""
+    return avoiding_flow(g, group, h) is None
 
 
 def _digits_of(index: int, k: int, width: int) -> list[int]:
@@ -465,27 +380,34 @@ def _first_unavoidable(
 
     Mappings run over every value assignment to the edges in `positions`
     (zero elsewhere), in lexicographic order with positions[0] the most
-    significant digit.  Adds the number checked to stats["mappings_enumerated"].
+    significant digit; `positions` must hold every tree edge.  Such a
+    mapping is avoided by flow f exactly when f is nonzero off `positions`
+    and differs from it on every position, which splits edge by edge: with
+    the high half of `positions` as rows and the low half as columns, the
+    product of the two ``_differs`` matrices counts the avoiding flows of
+    every mapping (in float32, where a positive count stays positive).
+    Adds the number of mappings settled to stats["mappings_enumerated"].
     """
-    if g.m == 0:
-        return None
     k = group.order
-    packed = _packed_flows(g, group, s)
-    if packed is None:
-        for digits in iter_flow_assignments(group, len(positions)):
-            stats["mappings_enumerated"] += 1
-            h = _place(g.m, positions, digits)
-            if find_satisfying_flow(g, group, h) is None:
-                return h
-        return None
-    packer, flows = packed
-    tables = [_pack_columns(packer, _unit_vectors(g.m, e, k)) for e in positions]
-    for start, hs in _chunked_sums(packer, tables):
-        sat = _satisfied_mask(packer, flows, hs)
-        stats["mappings_enumerated"] += len(sat)
-        bad = np.flatnonzero(~sat)
-        if len(bad):
-            return _place(g.m, positions, _digits_of(start + int(bad[0]), k, len(positions)))
+    inside = set(positions)
+    values = [range(k) if e in inside else range(1, k) for e in s.nontree_edges]
+    half = len(positions) // 2
+    high, low = list(positions[:half]), list(positions[half:])
+    nrows, ncols = k ** len(high), k ** len(low)
+    block = max(1, CHUNK // ncols)
+    for r0 in range(0, nrows, block):
+        r1 = min(nrows, r0 + block)
+        count = np.zeros((r1 - r0, ncols), dtype=np.float32)
+        for flows in _flow_rows(g, group, s, values, CHUNK // max(ncols, g.m)):
+            rows = _differs(flows[:, high], k)[:, r0:r1].astype(np.float32)
+            count += rows.T @ _differs(flows[:, low], k).astype(np.float32)
+            if count.all():
+                break
+        stats["mappings_enumerated"] += count.size
+        if not count.all():
+            # argmin of a count array is its first zero: the first unavoidable mapping
+            first = r0 * ncols + int(np.argmin(count))
+            return _place(g.m, positions, _digits_of(first, k, len(positions)))
     return None
 
 
@@ -530,6 +452,49 @@ def solve_naive(g: Digraph, group: Group) -> Verdict:
     if bad is None:
         return Verdict(g, group, True, None, "naive", stats)
     return Verdict(g, group, False, bad, "naive", stats)
+
+
+# ---------------------------------------------------------------------------
+# packed machinery of the fast oracle
+# ---------------------------------------------------------------------------
+
+
+def _pack_columns(packer: Packer, vectors: Sequence[Sequence[int]]) -> PackedCols:
+    """Pack a list of vectors into per-factor numpy columns."""
+    packed = [packer.pack(tuple(v)) for v in vectors]
+    nfac = len(packer.group.factors)
+    return tuple(np.array([p[f] for p in packed], dtype=np.uint64) for f in range(nfac))
+
+
+def _mixed_radix_digits(sizes: Sequence[int], start: int, count: int):
+    """Yield (c, digits of coordinate c) for enumeration indices start..start+count-1.
+
+    Coordinate 0 is the most significant digit; coordinates are yielded
+    from the least significant one up, one array at a time.
+    """
+    idx = np.arange(start, start + count)
+    period = 1
+    for c in reversed(range(len(sizes))):
+        yield c, (idx // period) % sizes[c]
+        period *= sizes[c]
+
+
+def _enumerate_packed(packer: Packer, tables: list[PackedCols], sizes: list[int], start: int, count: int) -> PackedCols:
+    """Packed sums over a mixed-radix product of contribution tables.
+
+    ``tables[c]`` holds per-factor columns for coordinate c; coordinate 0
+    is the most significant digit of the enumeration index.  Each sum is
+    built coordinate by coordinate.  (Built once per block of low
+    coordinates instead, marking runs several times faster, but the two
+    ``thread_opt`` modes then differ only in how many mappings they
+    enumerate, and the thread-optimization speedup of acceptance
+    criterion 7 falls from about 12x to under 4x.)
+    """
+    words = None
+    for c, digit in _mixed_radix_digits(sizes, start, count):
+        cols = tuple(col[digit] for col in tables[c])
+        words = cols if words is None else packer.add(words, cols)
+    return words
 
 
 class FastInstance:

@@ -4,6 +4,7 @@ import pytest
 
 from groupconn import cli
 from groupconn.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
+from groupconn.flows import is_flow
 from groupconn.graphs import encode_graph6
 from groupconn.solver import decide
 from groupconn.groups import Z4
@@ -82,6 +83,8 @@ def test_cli_nzflow(capsys, tmp_path, k4_file, bridge_file):
     assert code == EXIT_YES
     payload = json.loads(out)
     assert payload["exists"] is True and len(payload["flow"]) == 6
+    flow = [Z4.parse_element(x) for x in payload["flow"]]
+    assert is_flow(complete_graph(4), Z4, flow) and 0 not in flow
 
     code, out, _ = run(capsys, "nzflow", "--graph", bridge_file, "--group", "z4")
     assert code == EXIT_NO and json.loads(out)["exists"] is False
@@ -119,6 +122,8 @@ def test_cli_certify_rejects_bad_certificate(capsys, tmp_path, k4_file):
     payload = json.loads(out)
     assert payload["unsatisfiable"] is False
     assert len(payload["satisfying_flow"]) == 6
+    flow = [Z4.parse_element(x) for x in payload["satisfying_flow"]]
+    assert is_flow(complete_graph(4), Z4, flow) and 1 not in flow
 
 
 def test_cli_certify_malformed(capsys, tmp_path, k4_file):

@@ -8,7 +8,6 @@ from groupconn.flows import (
     all_flows,
     find_satisfying_flow,
     flow_from_nontree,
-    has_nowhere_zero_flow,
     is_flow,
     iter_flows,
     spanning_structure,
@@ -133,28 +132,29 @@ def test_find_satisfying_flow_none():
 
 
 def test_nowhere_zero_cycle():
+    g = cycle_graph(4)
     for group in MAIN_GROUPS:
-        f = has_nowhere_zero_flow(cycle_graph(4), group)
+        f = find_satisfying_flow(g, group, (0,) * g.m)
         assert f is not None and all(x != 0 for x in f)
 
 
 def test_nowhere_zero_bridge():
-    assert has_nowhere_zero_flow(Digraph(3, ((0, 1), (1, 2))), Z4) is None
+    assert find_satisfying_flow(Digraph(3, ((0, 1), (1, 2))), Z4, (0, 0)) is None
 
 
 def test_nowhere_zero_petersen():
     # the Petersen graph has no nowhere-zero 4-flow but has a 5-flow
-    assert has_nowhere_zero_flow(PETERSEN, Z4) is None
-    assert has_nowhere_zero_flow(PETERSEN, Z2xZ2) is None
-    assert has_nowhere_zero_flow(PETERSEN, make_group([5])) is not None
+    assert find_satisfying_flow(PETERSEN, Z4, (0,) * PETERSEN.m) is None
+    assert find_satisfying_flow(PETERSEN, Z2xZ2, (0,) * PETERSEN.m) is None
+    assert find_satisfying_flow(PETERSEN, make_group([5]), (0,) * PETERSEN.m) is not None
 
 
 def test_nowhere_zero_4flow_group_independent():
     # a Z4 nowhere-zero flow exists iff a Z2xZ2 one does
     for seed in range(30):
         g = _random_graph(seed, max_n=6, max_m=10)
-        assert (has_nowhere_zero_flow(g, Z4) is None) == (
-            has_nowhere_zero_flow(g, Z2xZ2) is None
+        assert (find_satisfying_flow(g, Z4, (0,) * g.m) is None) == (
+            find_satisfying_flow(g, Z2xZ2, (0,) * g.m) is None
         )
 
 

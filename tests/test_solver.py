@@ -4,7 +4,7 @@ import random
 import pytest
 
 from groupconn import solver
-from groupconn.flows import find_satisfying_flow
+from groupconn.flows import find_satisfying_flow, spanning_structure
 from groupconn.graphs import Digraph, structure_report, subdivide
 from groupconn.groups import Z2, Z3, Z4, Z2xZ2, make_group
 from groupconn.solver import (
@@ -127,6 +127,19 @@ def test_verify_certificate_length_check():
         verify_certificate(THETA, Z4, (0, 0))
 
 
+def test_certificate_check_gives_up_past_its_limit(monkeypatch):
+    # Petersen with a doubled K5 glued on at vertex 0: n = 14, m = 35, rank 22,
+    # too many flows to check the sumset certificate exhaustively
+    k5 = [(u, v) for u in (0, 10, 11, 12, 13) for v in (10, 11, 12, 13) if u < v]
+    g = Digraph(14, PETERSEN.edges + tuple(k5 + k5))
+    assert (g.m, spanning_structure(g).rank) == (35, 22)
+    monkeypatch.setattr(solver, "ULTRA_NAIVE_LIMIT", 10**4)
+    with pytest.raises(ValueError, match="limit"):
+        decide(g, Z4)
+    # the zero flow avoids the all-ones mapping, so the first chunk settles it
+    assert not verify_certificate(g, Z4, (1,) * g.m)
+
+
 def test_verify_certificate_matches_flow_search():
     rng = random.Random(5)
     for _ in range(40):
@@ -187,7 +200,7 @@ SUMSET_GROUPS = [Z2, Z3, Z4, Z2xZ2, make_group([5]), make_group([2, 3])]
 
 
 def check_sumset_no(v: Verdict) -> None:
-    """A NO verdict's certificate passes both the packed and the scalar check."""
+    """A NO verdict's certificate passes both verify_certificate and the scalar check."""
     if not v.connected:
         assert verify_certificate(v.graph, v.group, v.certificate)
         assert find_satisfying_flow(v.graph, v.group, v.certificate) is None
@@ -202,6 +215,30 @@ def small_connected_multigraphs():
                 g = Digraph(n, combo)
                 if len(structure_report(g)[1]) == 1:
                     yield g
+
+
+def first_unavoidable_scalar(g, group, positions):
+    """First mapping supported on positions (lexicographic, positions[0] most
+    significant) that no flow avoids, by scalar flow search per mapping."""
+    for values in itertools.product(range(group.order), repeat=len(positions)):
+        h = [0] * g.m
+        for e, v in zip(positions, values):
+            h[e] = v
+        if find_satisfying_flow(g, group, h) is None:
+            return tuple(h)
+    return None
+
+
+def test_oracle_certificates_match_scalar_brute_force():
+    for g in small_connected_multigraphs():
+        core = [e for e, (u, v) in enumerate(g.edges) if u != v]
+        for group in (Z3, make_group([5]), make_group([2, 3])):
+            want = first_unavoidable_scalar(g, group, core)
+            assert solve_ultra_naive(g, group).certificate == want, (g, group.spec_string())
+            if len(core) == g.m:
+                tree = spanning_structure(g).tree_edges
+                want = first_unavoidable_scalar(g, group, tree)
+                assert solve_naive(g, group).certificate == want, (g, group.spec_string())
 
 
 def test_sumset_agrees_with_ultra_exhaustive():
@@ -293,8 +330,14 @@ def test_cycle_law():
 
 
 def test_theta_graph():
-    for group in (Z4, Z2xZ2):
-        assert decide(THETA, group).connected == oracle(THETA, group)
+    # z9 has a cyclic factor above 7, which the packed lanes of `fast` cannot hold
+    for group in (Z4, Z2xZ2, make_group([9])):
+        for g in (THETA, cycle_graph(3), complete_graph(4)):
+            truth = oracle(g, group)
+            for algo in ("ultra", "naive", "sumset"):
+                v = decide(g, group, algo)
+                assert v.connected == truth, (g, group.spec_string(), algo)
+                assert v.connected or verify_certificate(g, group, v.certificate)
 
 
 def test_complete_graphs_yes():
