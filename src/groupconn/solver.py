@@ -17,7 +17,9 @@ Four engines share the same contract:
 * ``solve_sumset``       -- the production engine: the boundaries of
   nowhere-zero mappings form a Minkowski sum with one factor per edge
   (Jaeger, Linial, Payan and Tarsi, JCTB 56, 1992), held as a bool array
-  over every zero-sum boundary.
+  over the zero-sum boundaries of the vertices left when short threads
+  are contracted into edges.  Its SUMSET_LIMIT counts only those
+  vertices, so it reaches graphs whose ``fast`` table is too large.
 
 The first two share one flow-check kernel and differ only in the edges
 whose values they enumerate: every edge, or the edges of a spanning
@@ -53,7 +55,7 @@ from .groups import Group
 ULTRA_NAIVE_LIMIT = 10**8  # cap on |G|^m work items
 NAIVE_KEY_LIMIT = 2**27  # cap on tree-representative enumeration
 FAST_TABLE_LIMIT = 2**28  # cap on the class-marking table (one byte per key)
-SUMSET_LIMIT = 2**28  # cap on the boundary array (one byte per boundary)
+SUMSET_LIMIT = 2**28  # cap on the boundary array (one byte per boundary, threads contracted)
 CHUNK = 1 << 21  # vectorized enumeration chunk size
 
 PackedCols = tuple  # one numpy uint64 array per group factor
@@ -756,69 +758,136 @@ def _tree_mapping(g: Digraph, group: Group, root: int, beta: Sequence[int]) -> E
     return tuple(h)
 
 
+def _shifted(arr: np.ndarray, move: tuple[np.ndarray, np.ndarray], axes: tuple) -> np.ndarray:
+    """arr moved by c*(chi_u - chi_v): out[.., x_u, .., x_v, ..] = arr[.., x_u - c, .., x_v + c, ..].
+
+    move holds the index arrays x -> x - c and x -> x + c (columns of the
+    Cayley table), axes the axes of the tail u and the head v; the vertex
+    without an axis has None, and at most one of the two does, so the
+    result is always a new array.
+    """
+    for index, axis in zip(move, axes):
+        if axis is not None:
+            arr = np.take(arr, index, axis=axis)
+    return arr
+
+
+def _with_edge(arr: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]], axes: tuple) -> np.ndarray:
+    """The boundaries of arr plus one edge uv taking the values of moves."""
+    out = _shifted(arr, moves[0], axes)
+    for move in moves[1:]:
+        out |= _shifted(arr, move, axes)
+    return out
+
+
 def solve_sumset(g: Digraph, group: Group) -> Verdict:
     """Boundary-sumset engine for a connected graph (loops are ignored).
 
     g is connected exactly when every zero-sum boundary beta is the
     boundary of a nowhere-zero mapping.  Those boundaries are the sum over
     edges uv of {c*(chi_u - chi_v) : c != 0}, kept as a bool array with one
-    axis per (vertex, cyclic factor); the first vertex of
-    _elimination_order has no axes, its value being fixed by the zero sum.
-    Vertices join the array in that order, a vertex's edges to earlier
-    vertices being added right after it joins.  A full array is YES.
-    Otherwise, for the first unreached beta, a tree mapping phi with
-    boundary beta is the certificate: if a flow f avoided phi, phi - f
+    axis of size |G| per vertex but the first of _elimination_order, whose
+    value is fixed by the zero sum.  Vertices join the array in that order,
+    a vertex's edges to earlier vertices being added right after it joins.
+
+    A thread u -> w1 -> ... -> v of 2 <= L <= |G|-1 edges is contracted
+    first: boundaries at w1.. with partial sums s1.. leave its first edge
+    the values c not in F = {0, -s1, ...}, and the rest of its boundary
+    moves onto v.  So its inner vertices get no axes, and the thread is
+    added last as an edge uv with values outside F, branching depth first
+    over every F of 0 and L-1 distinct nonzero values (a thread from v to
+    v adds nothing and is dropped).  A full array is YES for its whole
+    subtree; the last thread is full for every F when each cell is hit by
+    at least L of its |G|-1 shifts.  At the first leaf that is not full,
+    the first unreached beta, lifted to g with partial sums -F, has a
+    tree mapping phi as its certificate: if a flow f avoided phi, phi - f
     would be nowhere-zero with boundary beta.
     """
     t0 = time.perf_counter()
-    k, nf = group.order, len(group.factors)
-    total = k ** (g.n - 1)
+    k = group.order
+    _, core = _without_loops(g)
+    inner: set[int] = set()
+    threads = []  # (u, v, inner vertices) of the contracted threads that are not loops
+    contracted = [t for t in thread_profile(core).threads if 2 <= len(t) <= k - 1]
+    for t in contracted:
+        walk = [t.tail_anchor]
+        for e in t.edge_ids[:-1]:
+            u, v = core.edges[e]
+            walk.append(v if u == walk[-1] else u)
+        inner.update(walk[1:])
+        if t.tail_anchor != t.head_anchor:
+            threads.append((t.tail_anchor, t.head_anchor, walk[1:]))
+    plain = [(u, v) for u, v in core.edges if u not in inner and v not in inner]
+    keep = [x for x in range(g.n) if x not in inner]
+    local = {x: i for i, x in enumerate(keep)}
+    branch_graph = Digraph(len(keep), tuple((local[u], local[v]) for u, v, *_ in plain + threads))
+    order = [keep[i] for i in _elimination_order(branch_graph)]
+    n, total = len(order), k ** (len(order) - 1)
     if total > SUMSET_LIMIT:
-        raise ValueError(f"boundary array |G|**{g.n - 1} exceeds the sumset-engine limit")
-    order = _elimination_order(g)
+        raise ValueError(f"boundary array |G|**{n - 1} exceeds the sumset-engine limit")
     place = {x: p for p, x in enumerate(order)}
-    joins: list[list[int]] = [[] for _ in range(g.n)]  # earlier endpoint of each edge, by later place
-    for u, v in g.edges:
-        if u != v:
-            lo, hi = sorted((place[u], place[v]))
-            joins[hi].append(lo)
-    # the vertex at place p owns axes (t-p)*nf .. (t-p)*nf+nf-1 of the
-    # level-t array, factors in reverse so the C-order index of a
-    # vertex's axes is its element index; the Ellipsis keeps a block a
-    # view even when it has no axes left
-    coords = [tuple(reversed(group.to_tuple(a))) for a in range(k)]
-    index = [a + (Ellipsis,) for a in coords]
-    shape = tuple(reversed(group.factors))
+    joins: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # plain edges, by their later place
+    for u, v in plain:
+        joins[max(place[u], place[v])].append((u, v))
+    table = np.array([[group.add(a, b) for b in range(k)] for a in range(k)], dtype=np.intp)
+    moves = [(table[:, group.neg(c)], table[:, c]) for c in range(k)]
+
+    def axes(level: int, *ends: int) -> tuple:
+        # the vertex at place p > 0 owns axis level - p; place 0 owns none
+        return tuple(level - place[x] if place[x] else None for x in ends)
+
+    stats = {"boundaries_total": total, "edges_added": 0, "threads_contracted": len(contracted), "thread_branches": 0}
     reached = np.ones((), dtype=bool)
-    edges_added = 0
-    for t in range(1, g.n):
-        grown = np.zeros(shape + reached.shape, dtype=bool)
-        grown[index[0]] = reached
+    for t in range(1, n):
+        grown = np.zeros((k,) + reached.shape, dtype=bool)
+        grown[0] = reached
         reached = grown
-        for p in joins[t]:
-            # the new vertex gains c and the vertex at place p loses c
-            axes = tuple(range((t - p - 1) * nf, (t - p) * nf))
-            out = np.zeros_like(reached)
-            for b in range(k):
-                block = reached[index[b]]
-                for c in range(1, k):
-                    target = out[index[group.add(b, c)]]
-                    target |= np.roll(block, coords[group.neg(c)], axes) if p else block
-            reached = out
-            edges_added += 1
-            if t == g.n - 1 and reached.all():
+        for u, v in joins[t]:
+            reached = _with_edge(reached, moves[1:], axes(t, u, v))
+            stats["edges_added"] += 1
+            if t == n - 1 and reached.all():
                 break
-    count = int(np.count_nonzero(reached))
-    stats = {"boundaries_total": total, "boundaries_reached": count, "edges_added": edges_added}
-    if count == total:
-        stats["elapsed"] = time.perf_counter() - t0
+
+    def branch(i: int, arr: np.ndarray):
+        """The first leaf below arr that is not full, and the F chosen for threads i.., or None."""
+        if i == len(threads):
+            return None if arr.all() else (arr, [])
+        stats["thread_branches"] += 1
+        if arr.all():
+            return None
+        u, v, mid = threads[i]
+        ends = axes(n - 1, u, v)
+        if i == len(threads) - 1:
+            hits = np.zeros(arr.shape, dtype=np.uint8)
+            for move in moves[1:]:
+                hits += _shifted(arr, move, ends)
+            if hits.min() > len(mid):
+                return None
+        for f in itertools.combinations(range(1, k), len(mid)):
+            stats["edges_added"] += 1
+            found = branch(i + 1, _with_edge(arr, [moves[c] for c in range(1, k) if c not in f], ends))
+            if found:
+                return found[0], [f] + found[1]
+        return None
+
+    found = branch(0, reached)
+    if found is None:
+        stats.update(boundaries_reached=total, elapsed=time.perf_counter() - t0)
         return Verdict(g, group, True, None, "sumset", stats)
+    leaf, chosen = found
+    stats["boundaries_reached"] = int(np.count_nonzero(leaf))
     # argmin of a bool array is its first False: the first unreached beta
-    digits = _digits_of(int(np.argmin(reached)), k, g.n - 1)  # digits[0] is the last place
+    digits = _digits_of(int(np.argmin(leaf)), k, n - 1)  # digits[0] is the last place
     beta = [0] * g.n
-    for p in range(1, g.n):
-        beta[order[p]] = digits[g.n - 1 - p]
+    for p in range(1, n):
+        beta[order[p]] = digits[n - 1 - p]
         beta[order[0]] = group.sub(beta[order[0]], beta[order[p]])
+    for (u, v, mid), f in zip(threads, chosen):
+        s = 0  # partial sum of the inner boundaries so far
+        for w, x in zip(mid, f):
+            beta[w] = group.sub(group.neg(x), s)
+            s = group.neg(x)
+        beta[v] = group.sub(beta[v], s)
     cert = _tree_mapping(g, group, order[0], beta)
     stats["elapsed"] = time.perf_counter() - t0
     if not verify_certificate(g, group, cert):
@@ -847,9 +916,10 @@ def decide(
 
     ``algorithm`` is one of "ultra", "naive", "fast", "sumset", "auto".
     "auto" picks ultra-naive when ``use_preprocessing`` is False, else
-    sumset, which checks SUMSET_LIMIT on each reduced component (the
-    ``fast`` table is capped at the same |G|^(n_c-1), so it would fail
-    wherever sumset does).  Only the ultra-naive engine supports
+    sumset, which checks SUMSET_LIMIT against |G|^(b-1) on each reduced
+    component with b vertices left after thread contraction (the ``fast``
+    table is capped at |G|^(n_c-1) with every vertex counted, so sumset
+    gets further).  Only the ultra-naive engine supports
     ``use_preprocessing=False`` (it is the oracle the preprocessing is
     validated against).  Component stats are summed.
     """

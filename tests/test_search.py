@@ -2,6 +2,7 @@ import io
 import json
 import os
 
+import networkx as nx
 import pytest
 
 from groupconn.graphs import Digraph, encode_graph6, parse_graph6, subdivide
@@ -262,3 +263,35 @@ def test_search_refinds_cubic12_witness():
     assert w.graph == Digraph(payload["graph"]["n"], tuple(tuple(e) for e in payload["graph"]["edges"]))
     assert w.yes_group == Z2xZ2 and w.no_group == Z4
     assert verify_certificate(w.graph, Z4, w.certificate)
+
+
+def test_cubic12_all_holds_every_3_edge_colorable_class():
+    # 80 connected 3-edge-colorable cubic graphs on 12 vertices, up to isomorphism
+    def nx_graph(g):
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges)
+        for v, dist in nx.all_pairs_shortest_path_length(G):
+            G.nodes[v]["profile"] = str(sorted(dist.values()))
+        return G
+
+    def classes(graphs):
+        # isomorphic graphs share a hash; only graphs sharing one need matching
+        out = {}
+        for G in graphs:
+            bucket = out.setdefault(nx.weisfeiler_lehman_graph_hash(G, node_attr="profile"), [])
+            if not any(nx.is_isomorphic(G, H) for H in bucket):
+                bucket.append(G)
+        return out
+
+    data = os.path.join(os.path.dirname(__file__), "..", "data")
+    corpus = [nx_graph(g) for g in load_bases(os.path.join(data, "cubic12_all.g6"))]
+    assert len(corpus) == 80
+    for G in corpus:
+        assert G.number_of_nodes() == 12 and nx.is_connected(G)
+        assert {d for _, d in G.degree()} == {3}
+    known = classes(corpus)
+    assert sum(map(len, known.values())) == 80  # pairwise non-isomorphic
+    old = [nx_graph(g) for g in load_bases(os.path.join(data, "cubic12.g6"))]
+    merged = classes(corpus + old)
+    assert sum(map(len, merged.values())) == 80  # nothing in cubic12.g6 is missing

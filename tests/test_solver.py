@@ -1,12 +1,15 @@
 import itertools
+import json
+import os
 import random
 
 import pytest
 
 from groupconn import solver
 from groupconn.flows import find_satisfying_flow, spanning_structure
-from groupconn.graphs import Digraph, structure_report, subdivide
+from groupconn.graphs import Digraph, structure_report, subdivide, thread_profile
 from groupconn.groups import Z2, Z3, Z4, Z2xZ2, make_group
+from groupconn.search import enumerate_subdivisions
 from groupconn.solver import (
     Verdict,
     decide,
@@ -28,6 +31,16 @@ from conftest import (
     complete_graph,
     cycle_graph,
     random_connected_loopfree,
+)
+
+FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "..", "data", "witness_z22_yes_z4_no.json")
+
+# the pentagonal prism: two 5-cycles joined by a matching
+PRISM5 = Digraph(
+    10,
+    tuple((i, (i + 1) % 5) for i in range(5))
+    + tuple((5 + i, 5 + (i + 1) % 5) for i in range(5))
+    + tuple((i, i + 5) for i in range(5)),
 )
 
 
@@ -265,6 +278,72 @@ def test_sumset_agrees_with_naive_random():
             check_sumset_no(v)
 
 
+def test_sumset_agrees_with_naive_on_cube_subdivisions():
+    # every reduced component of the cube with 1..3 added vertices: threads of length 2
+    count = 0
+    for added in (1, 2, 3):
+        for g in enumerate_subdivisions(CUBE, added):
+            for group in (Z4, Z2xZ2):
+                for comp in preprocess(g, group).components:
+                    v = solve_sumset(comp.graph, group)
+                    assert v.connected == solve_naive(comp.graph, group).connected, (g, group.spec_string())
+                    check_sumset_no(v)
+                    count += 1
+    assert count == 884
+
+
+def test_sumset_agrees_with_naive_on_random_threads():
+    # orders 5 and 6 contract threads of length 3 and 4 (6 and 10 choices of F);
+    # longer threads stay in the array as plain edges
+    rng = random.Random(20261018)
+    seen = set()
+    for group in (make_group([5]), make_group([6]), make_group([2, 3])):
+        for i in range(100):
+            n = rng.randint(2, 4)
+            g = random_connected_loopfree(rng, n, rng.randint(n + 1, n + 4))
+            while g.n < 8:
+                g = subdivide(g, rng.randrange(g.m), rng.randint(1, min(3, 8 - g.n)))
+            v = solve_sumset(g, group)
+            assert v.connected == solve_naive(g, group).connected, (i, group.spec_string())
+            check_sumset_no(v)
+            seen.update((group.order, len(t), v.connected) for t in thread_profile(g).threads)
+    for k in (5, 6):
+        assert {(k, 3, True), (k, 3, False), (k, 4, True), (k, 4, False), (k, k, False)} <= seen
+
+
+def test_sumset_loop_and_parallel_threads():
+    k4 = complete_graph(4).edges
+    graphs = {  # graph, thread lengths
+        # a thread from vertex 0 back to itself: a loop after contraction, dropped
+        "K4 and a loop thread": (Digraph(6, k4 + ((0, 4), (4, 5), (5, 0))), (3,)),
+        "K4 and a loop 2-thread": (Digraph(5, k4 + ((0, 4), (4, 0))), (2,)),
+        "two loop threads": (Digraph(5, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0))), (3, 3)),
+        # parallel threads between the same two anchors
+        "subdivided theta": (Digraph(5, ((0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1))), (2, 2, 2)),
+        "K4, doubled edge subdivided": (
+            Digraph(6, ((0, 4), (4, 1), (0, 5), (5, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+            (2, 2),
+        ),
+    }
+    for name, (g, lengths) in graphs.items():
+        for group in (Z3, Z4, Z2xZ2, make_group([5])):
+            v = solve_sumset(g, group)
+            assert v.connected == oracle(g, group), (name, group.spec_string())
+            assert v.stats["threads_contracted"] == sum(2 <= n < group.order for n in lengths)
+            check_sumset_no(v)
+
+
+def test_sumset_leaves_long_threads_uncontracted():
+    # a thread of |G| or more edges is a NO (pigeonhole) that keeps every vertex in the array
+    for group in (Z3, Z4):
+        for extra in (group.order - 1, group.order):
+            g = subdivide(complete_graph(4), 0, extra)
+            v = solve_sumset(g, group)
+            assert not v.connected and v.stats["threads_contracted"] == 0
+            assert v.stats["boundaries_total"] == group.order ** (g.n - 1)
+            check_sumset_no(v)
+
+
 def test_sumset_known_graphs():
     for group in (Z4, Z2xZ2):
         v = decide(PETERSEN, group, "sumset")
@@ -291,10 +370,33 @@ def test_sumset_stats_and_limit(monkeypatch):
         solve_sumset(Digraph(4, ((0, 1), (0, 1), (2, 3), (2, 3))), Z4)
 
 
+def test_sumset_counts_only_branch_vertices(monkeypatch):
+    # the 15-vertex fixture has 12 branch vertices and three threads of length 2
+    with open(FIXTURE_PATH) as fh:
+        payload = json.load(fh)
+    g = Digraph(payload["graph"]["n"], tuple(tuple(e) for e in payload["graph"]["edges"]))
+    for group, connected in ((Z4, False), (Z2xZ2, True)):
+        v = decide(g, group)
+        assert v.connected == connected and v.algorithm == "sumset"
+        assert v.stats["boundaries_total"] == 4**11 and v.stats["threads_contracted"] == 3
+        check_sumset_no(v)
+    # SUMSET_LIMIT caps |G|^(n_branch - 1): 13 vertices, 10 of them branch vertices
+    monkeypatch.setattr(solver, "SUMSET_LIMIT", 4**9)
+    g = PRISM5
+    for e in (0, 6, 12):
+        g = subdivide(g, e)
+    for group in (Z4, Z2xZ2):
+        v = solve_sumset(g, group)
+        assert v.stats["boundaries_total"] == 4**9 and v.stats["threads_contracted"] == 3
+        check_sumset_no(v)
+
+
 def test_sumset_rechecks_its_certificates(monkeypatch):
     monkeypatch.setattr(solver, "verify_certificate", lambda g, group, h: False)
-    with pytest.raises(AssertionError, match="sumset engine"):
-        solve_sumset(PETERSEN, Z4)
+    # no threads, and a NO found through a contracted thread
+    for g in (PETERSEN, subdivide(PETERSEN, 0)):
+        with pytest.raises(AssertionError, match="sumset engine"):
+            solve_sumset(g, Z4)
 
 
 # -- the auto policy ---------------------------------------------------------
