@@ -23,8 +23,8 @@ Four engines share the same contract:
 
 The first two share one flow-check kernel and differ only in the edges
 whose values they enumerate: every edge, or the edges of a spanning
-tree.  The kernel builds the flows as rows of element indices and counts
-the flows avoiding every mapping with one Boolean matrix product;
+tree.  The kernel builds the flows as rows of element indices and marks
+the mappings they avoid in a bit array, one bit per mapping;
 ``avoiding_flow`` (behind ``verify_certificate``) scans the same flow
 rows against a single mapping.  Only ``solve_fast`` packs group elements
 into bit lanes.  The first three engines are kept as reference oracles.
@@ -375,6 +375,16 @@ def _digits_of(index: int, k: int, width: int) -> list[int]:
     return out
 
 
+def _avoided_by(hit: np.ndarray, k: int, digits: int) -> np.ndarray:
+    """Row i: the OR of the rows of hit whose base-k digits all differ from i's.
+
+    One pass per digit replaces its k slices by the OR of the other k-1."""
+    for d in range(digits):
+        v = hit.reshape(k**d, k, -1)
+        hit = np.stack([np.bitwise_or.reduce(np.delete(v, c, axis=1), axis=1) for c in range(k)], axis=1)
+    return hit.reshape(k**digits, -1)
+
+
 def _first_unavoidable(
     g: Digraph, group: Group, s: SpanningStructure, positions: Sequence[int], stats: dict
 ) -> Optional[EdgeVector]:
@@ -385,9 +395,9 @@ def _first_unavoidable(
     significant digit; `positions` must hold every tree edge.  Such a
     mapping is avoided by flow f exactly when f is nonzero off `positions`
     and differs from it on every position, which splits edge by edge: with
-    the high half of `positions` as rows and the low half as columns, the
-    product of the two ``_differs`` matrices counts the avoiding flows of
-    every mapping (in float32, where a positive count stays positive).
+    the high half of `positions` as rows and the low half as columns, bit
+    row u collects the columns avoided by flows whose high half is u, and
+    ``_avoided_by`` ORs it into every row that u differs from everywhere.
     Adds the number of mappings settled to stats["mappings_enumerated"].
     """
     k = group.order
@@ -395,22 +405,20 @@ def _first_unavoidable(
     values = [range(k) if e in inside else range(1, k) for e in s.nontree_edges]
     half = len(positions) // 2
     high, low = list(positions[:half]), list(positions[half:])
-    nrows, ncols = k ** len(high), k ** len(low)
-    block = max(1, CHUNK // ncols)
-    for r0 in range(0, nrows, block):
-        r1 = min(nrows, r0 + block)
-        count = np.zeros((r1 - r0, ncols), dtype=np.float32)
-        for flows in _flow_rows(g, group, s, values, CHUNK // max(ncols, g.m)):
-            rows = _differs(flows[:, high], k)[:, r0:r1].astype(np.float32)
-            count += rows.T @ _differs(flows[:, low], k).astype(np.float32)
-            if count.all():
-                break
-        stats["mappings_enumerated"] += count.size
-        if not count.all():
-            # argmin of a count array is its first zero: the first unavoidable mapping
-            first = r0 * ncols + int(np.argmin(count))
-            return _place(g.m, positions, _digits_of(first, k, len(positions)))
-    return None
+    ncols = k ** len(low)
+    place = k ** np.arange(len(high) - 1, -1, -1, dtype=np.int64)
+    full = np.packbits(np.ones(ncols, dtype=bool))
+    hit = np.zeros((k ** len(high), len(full)), dtype=np.uint8)
+    for flows in _flow_rows(g, group, s, values, CHUNK // max(ncols, g.m)):
+        np.bitwise_or.at(hit, flows[:, high] @ place, np.packbits(_differs(flows[:, low], k), axis=1))
+    avoided = _avoided_by(hit, k, len(high))
+    stats["mappings_enumerated"] += len(avoided) * ncols
+    short = np.flatnonzero((avoided != full).any(axis=1))
+    if not len(short):
+        return None
+    # argmin of a row of bits is its first zero: the first unavoidable mapping
+    first = int(short[0]) * ncols + int(np.argmin(np.unpackbits(avoided[short[0]], count=ncols)))
+    return _place(g.m, positions, _digits_of(first, k, len(positions)))
 
 
 def solve_ultra_naive(g: Digraph, group: Group) -> Verdict:
