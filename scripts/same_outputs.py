@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Check that this checkout gives the same outputs as a parent checkout.
+
+    python3 scripts/same_outputs.py --parent ../parent-checkout
+
+Each checkout runs, in a fresh process with its own ``src/`` on the path,
+a fixed seeded corpus: 1,500 random multigraphs (at most 9 vertices and
+14 edges, loops and parallel edges included) and every subdivision of
+the 3-cube with 1 to 3 added vertices.  For each graph it records
+``structure_report``, ``thread_profile`` of the loop-free part,
+``preprocess`` (``early_no``, ``steps`` and the components as a
+multiset) and the ``decide`` verdict and certificate over z3, z4 and
+z2^2: with ``auto`` on every graph, and with ``fast`` in both
+``thread_opt`` modes on a 340-graph slice.  An exception is recorded as
+an output by its type.  The two runs are compared item by item and the
+first item that differs is printed.
+
+Exit status: 0 when every output matches, 1 on a difference, 2 when a
+checkout fails to produce its outputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+GROUPS = ("z3", "z4", "z2^2")
+RANDOM_GRAPHS = 1500
+FAST_RANDOM = 300  # the fast slice: this many random graphs, then the cube subdivisions
+FAST_CUBE = 40
+
+
+def random_corpus() -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    rng = random.Random(20171110)
+    out = []
+    for _ in range(RANDOM_GRAPHS):
+        n, m = rng.randint(1, 9), rng.randint(0, 14)
+        out.append((n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m))))
+    return out
+
+
+def outputs(root: Path):
+    """Yield (item name, JSON-ready output) for the corpus, run on checkout `root`."""
+    sys.path.insert(0, str(root / "src"))
+    from groupconn.graphs import CUBE, Digraph, structure_report, subdivide, thread_profile
+    from groupconn.groups import parse_group
+    from groupconn.search import subdivision_multisets
+    from groupconn.solver import decide, preprocess
+
+    corpus = [(f"random {i}", Digraph(n, edges)) for i, (n, edges) in enumerate(random_corpus())]
+    for added in (1, 2, 3):
+        for counts in subdivision_multisets(CUBE.m, added):
+            g = CUBE
+            for e, c in enumerate(counts):
+                if c:
+                    g = subdivide(g, e, c)
+            corpus.append((f"cube+{added} {list(counts)}", g))
+    fast_slice = {name for name, _ in corpus[:FAST_RANDOM] + corpus[RANDOM_GRAPHS : RANDOM_GRAPHS + FAST_CUBE]}
+    groups = [parse_group(spec) for spec in GROUPS]
+
+    def guarded(fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:  # an exception is an output to compare, not a failure of the check
+            return {"raises": type(exc).__name__}
+
+    def report(g):
+        bridges, components, loops = structure_report(g)
+        return [sorted(bridges), components, sorted(loops)]
+
+    def threads(g):
+        p = thread_profile(Digraph(g.n, tuple(e for e in g.edges if e[0] != e[1])))
+        return [
+            [[t.edge_ids, t.signs, t.tail_anchor, t.head_anchor] for t in p.threads],
+            [[c.edge_ids, c.signs] for c in p.cycle_components],
+            p.suppressed.edges,
+        ]
+
+    def reduced(g, group):
+        inst = preprocess(g, group)
+        comps = sorted(json.dumps([c.graph.n, c.graph.edges, c.orig_edges]) for c in inst.components)
+        return [inst.early_no, inst.steps, comps]
+
+    def verdict(g, group, algorithm, thread_opt=True):
+        v = decide(g, group, algorithm, thread_opt=thread_opt)
+        return [v.connected, None if v.certificate is None else list(v.certificate)]
+
+    for name, g in corpus:
+        yield f"{name} structure_report", guarded(report, g)
+        yield f"{name} thread_profile", guarded(threads, g)
+        for spec, group in zip(GROUPS, groups):
+            yield f"{name} preprocess {spec}", guarded(reduced, g, group)
+            yield f"{name} decide {spec} auto", guarded(verdict, g, group, "auto")
+            if name in fast_slice:
+                for opt in (True, False):
+                    yield f"{name} decide {spec} fast thread_opt={opt}", guarded(verdict, g, group, "fast", opt)
+
+
+def dump(root: Path) -> None:
+    for name, out in outputs(root):
+        print(json.dumps([name, out]))
+
+
+def collect(root: Path) -> list[tuple[str, str]]:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--dump", str(root)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return [(item[0], json.dumps(item[1])) for item in map(json.loads, proc.stdout.splitlines())]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.dump:
+        dump(args.dump)
+        return 0
+    if not args.parent:
+        ap.error("--parent is required")
+    try:
+        here = collect(Path(__file__).resolve().parent.parent)
+        there = collect(args.parent.resolve())
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for (name, out), (pname, pout) in zip(here, there):
+        if name != pname or out != pout:
+            print(f"differs at {name!r}:\n  this checkout: {out}\n  parent ({pname!r}): {pout}")
+            return 1
+    if len(here) != len(there):
+        print(f"differs in length: {len(here)} outputs here, {len(there)} in the parent")
+        return 1
+    print(f"same outputs: {len(here)} items")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

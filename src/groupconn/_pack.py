@@ -45,6 +45,8 @@ class Packer:
     """
 
     def __init__(self, group: Group, length: int):
+        if not pack_supported(group, length):
+            raise ValueError(f"{length} elements of {group.spec_string()} do not fit the packed layout")
         self.group = group
         self.length = length
         self.pow2 = (group.order & (group.order - 1)) == 0
@@ -56,14 +58,8 @@ class Packer:
                 offs.append(off)
                 off += (f - 1).bit_length()
             self.field_offsets = offs
-            if length * self.lane_bits > 63:
-                raise ValueError(f"vector of {length} elements does not fit packed lanes")
         else:
             self.lane_bits = 4
-            if any(f > 7 for f in group.factors):
-                raise ValueError("packed arithmetic supports cyclic factors up to 7")
-            if length * 4 > 63:
-                raise ValueError(f"vector of {length} elements does not fit packed lanes")
             self.field_offsets = [0] * len(group.factors)
         B, L = self.lane_bits, length
         self._masks = []

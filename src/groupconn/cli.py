@@ -126,7 +126,7 @@ def cmd_flows(args) -> int:
     group = _load_group(args.group)
     s = spanning_structure(g)
     payload = {"group": group.spec_string(), "rank": s.rank, "count": group.order**s.rank}
-    if g.m <= 12:
+    if payload["count"] <= 2**12:  # 2^12: the most flows 12 edges carry over z2
         payload["flows"] = [
             [group.format_element(v) for v in f] for f in all_flows(g, group)
         ]

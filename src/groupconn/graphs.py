@@ -27,6 +27,8 @@ class Digraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"negative vertex count {self.n}")
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for {self.n} vertices")
@@ -67,6 +69,8 @@ def parse_edgelist(text: str) -> Digraph:
     if len(head) != 2:
         raise GraphParseError(f"bad header line {lines[0]!r}, expected 'n m'")
     n, m = int(head[0]), int(head[1])
+    if n < 0:
+        raise GraphParseError(f"negative vertex count in header line {lines[0]!r}")
     if len(lines) - 1 != m:
         raise GraphParseError(f"header declares {m} edges but {len(lines) - 1} follow")
     edges = []
@@ -239,102 +243,58 @@ def thread_profile(g: Digraph) -> ThreadProfile:
     if any(u == v for u, v in g.edges):
         raise ValueError("thread_profile requires a loop-free graph")
     deg = g.degrees()
-    inc = g.incidence()
-    anchors = [v for v in range(g.n) if deg[v] != 0 and deg[v] != 2]
+    inc = g.incidence()  # each list is in edge-id order
     used = [False] * g.m
-    threads: list[Thread] = []
 
-    def other_end(eid: int, v: int) -> int:
-        u, w = g.edges[eid]
-        return w if u == v else u
-
-    for a in anchors:
-        for eid in sorted(inc[a]):
-            if used[eid]:
-                continue
-            edge_ids = []
-            signs = []
-            cur = a
-            e = eid
-            while True:
-                used[e] = True
-                u, w = g.edges[e]
-                signs.append(1 if u == cur else -1)
-                edge_ids.append(e)
-                cur = other_end(e, cur)
-                if deg[cur] != 2:
-                    break
-                e1, e2 = sorted(i for i in inc[cur])
-                e = e2 if e1 == e else e1
-            threads.append(Thread(tuple(edge_ids), tuple(signs), a, cur))
-
-    # Keep only the canonical direction; a thread between two anchors is
-    # discovered once from each end unless both ends coincide.
-    canon: list[Thread] = []
-    seen_edge_sets = set()
-    for t in threads:
-        key = frozenset(t.edge_ids)
-        if key in seen_edge_sets:
-            continue
-        seen_edge_sets.add(key)
-        canon.append(t)
-
-    cycles: list[CycleComponent] = []
-    for v in range(g.n):
-        if deg[v] != 2:
-            continue
-        first = min((e for e in inc[v] if not used[e]), default=None)
-        if first is None:
-            continue
-        edge_ids = []
-        signs = []
-        cur = v
-        e = first
+    def walk(start: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """(edge ids, signs, end) of the walk from `start` along e through
+        degree-2 vertices, up to a vertex of degree != 2 or back to `start`."""
+        edge_ids, signs = [], []
+        cur = start
         while True:
             used[e] = True
             u, w = g.edges[e]
             signs.append(1 if u == cur else -1)
             edge_ids.append(e)
-            cur = other_end(e, cur)
-            if cur == v:
-                break
-            e1, e2 = sorted(i for i in inc[cur])
+            cur = w if u == cur else u
+            if deg[cur] != 2 or cur == start:
+                return tuple(edge_ids), tuple(signs), cur
+            e1, e2 = inc[cur]
             e = e2 if e1 == e else e1
-        cycles.append(CycleComponent(tuple(edge_ids), tuple(signs)))
 
-    suppressed = Digraph(g.n, tuple((t.tail_anchor, t.head_anchor) for t in canon))
-    return ThreadProfile(tuple(canon), tuple(cycles), suppressed)
+    # `used` keeps a thread from being walked again from its other anchor,
+    # so each is walked once, from the lower-numbered anchor.
+    threads: list[Thread] = []
+    for a in range(g.n):
+        if deg[a] != 2:
+            for e in inc[a]:
+                if not used[e]:
+                    edge_ids, signs, end = walk(a, e)
+                    threads.append(Thread(edge_ids, signs, a, end))
+
+    # The unused edges form components whose vertices all have degree 2;
+    # a degree-2 vertex has both of its edges used or neither.
+    cycles: list[CycleComponent] = []
+    for v in range(g.n):
+        if deg[v] == 2 and not used[inc[v][0]]:
+            edge_ids, signs, _ = walk(v, inc[v][0])
+            cycles.append(CycleComponent(edge_ids, signs))
+
+    suppressed = Digraph(g.n, tuple((t.tail_anchor, t.head_anchor) for t in threads))
+    return ThreadProfile(tuple(threads), tuple(cycles), suppressed)
 
 
 def structure_report(g: Digraph) -> tuple[set[int], list[list[int]], set[int]]:
-    """Return (bridge edge ids, connected components as vertex lists, loop edge ids)."""
+    """Return (bridge edge ids, connected components, loop edge ids).
+
+    Components are sorted vertex lists, ordered by smallest vertex.  One
+    iterative lowpoint DFS finds both: each of its trees is a component.
+    Parallel edges and loops are never bridges.
+    """
     loops = {i for i, (u, v) in enumerate(g.edges) if u == v}
     inc = g.incidence()
-
-    # Components via DFS.
-    comp = [-1] * g.n
-    components: list[list[int]] = []
-    for s in range(g.n):
-        if comp[s] != -1:
-            continue
-        cid = len(components)
-        stack = [s]
-        comp[s] = cid
-        members = [s]
-        while stack:
-            v = stack.pop()
-            for e in inc[v]:
-                u, w = g.edges[e]
-                nxt = w if u == v else u
-                if comp[nxt] == -1:
-                    comp[nxt] = cid
-                    members.append(nxt)
-                    stack.append(nxt)
-        components.append(sorted(members))
-
-    # Bridges via iterative DFS lowpoint computation; parallel edges and
-    # loops are never bridges.
     bridges: set[int] = set()
+    components: list[list[int]] = []
     disc = [-1] * g.n
     low = [0] * g.n
     timer = 0
@@ -343,14 +303,11 @@ def structure_report(g: Digraph) -> tuple[set[int], list[list[int]], set[int]]:
             continue
         disc[s] = low[s] = timer
         timer += 1
-        it_pos = {s: 0}
-        path = [(s, -1)]
+        members = [s]
+        path = [(s, -1, iter(inc[s]))]  # (vertex, tree edge into it, its unscanned edges)
         while path:
-            v, pe = path[-1]
-            advanced = False
-            while it_pos[v] < len(inc[v]):
-                e = inc[v][it_pos[v]]
-                it_pos[v] += 1
+            v, pe, rest = path[-1]
+            for e in rest:
                 if e == pe or e in loops:
                     continue
                 u, w = g.edges[e]
@@ -358,16 +315,16 @@ def structure_report(g: Digraph) -> tuple[set[int], list[list[int]], set[int]]:
                 if disc[nxt] == -1:
                     disc[nxt] = low[nxt] = timer
                     timer += 1
-                    it_pos[nxt] = 0
-                    path.append((nxt, e))
-                    advanced = True
+                    members.append(nxt)
+                    path.append((nxt, e, iter(inc[nxt])))
                     break
                 low[v] = min(low[v], disc[nxt])
-            if not advanced:
+            else:
                 path.pop()
                 if path:
-                    pv, _ = path[-1]
+                    pv = path[-1][0]
                     low[pv] = min(low[pv], low[v])
                     if low[v] > disc[pv]:
                         bridges.add(pe)
+        components.append(sorted(members))
     return bridges, components, loops

@@ -166,16 +166,19 @@ def discrepancy_search(
     next witness, so a witness whose consumer dies holding it is emitted
     again on resume.  With ``max_witnesses`` the stream ends after the
     checkpoint of the last witness's task is written, so a resumed run
-    starts past it.  With ``resume``, a checkpoint written for another
-    configuration, or one that cannot be read, is a ``ValueError``.
+    starts past it.  With ``resume``, a missing ``checkpoint_path``, or a
+    checkpoint written for another configuration or that cannot be read,
+    is a ``ValueError``.
     """
     cfg = config or SearchConfig()
     if group_a.order != group_b.order:
         raise ValueError("the two groups must have equal order")
+    if cfg.resume and not cfg.checkpoint_path:
+        raise ValueError("resume needs a checkpoint path")
     tasks = _tasks(bases, cfg)
     fingerprint = _fingerprint(bases, group_a, group_b, cfg) if cfg.checkpoint_path else ""
     start_at = 0
-    if cfg.resume and cfg.checkpoint_path:
+    if cfg.resume:
         start_at = _read_checkpoint(cfg.checkpoint_path, fingerprint)
 
     found = 0

@@ -40,13 +40,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._pack import Packer, pack_supported
+from ._pack import Packer
 from .classes import ClassFunction
 from .flows import EdgeVector, SpanningStructure, flow_from_nontree, spanning_structure
 from .graphs import CycleComponent, Digraph, Thread, structure_report, thread_profile
@@ -150,22 +151,13 @@ def _relabel(edges: list[tuple[int, int, int]]) -> ReducedComponent:
     )
 
 
-def _relabel_components(edges: list[tuple[int, int, int]]) -> list[ReducedComponent]:
-    """Split surviving (u, v, orig_id) edges into locally-labeled components."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _ in edges:
-        parent[find(u)] = find(v)
-    buckets: dict[int, list[tuple[int, int, int]]] = {}
-    for u, v, eid in edges:
-        buckets.setdefault(find(u), []).append((u, v, eid))
-    return [_relabel(buckets[root]) for root in sorted(buckets)]
+def _split(cur: ReducedComponent, components: list[list[int]]) -> tuple[ReducedComponent, ...]:
+    """Cut `cur` into its connected components, each relabeled locally."""
+    comp_of = {v: c for c, members in enumerate(components) for v in members}
+    pieces: list[list[tuple[int, int, int]]] = [[] for _ in components]
+    for (u, v), eid in zip(cur.graph.edges, cur.orig_edges):
+        pieces[comp_of[u]].append((u, v, eid))
+    return tuple(_relabel(p) for p in pieces)
 
 
 def _pigeonhole(path: Thread | CycleComponent, group: Group, orig: tuple[int, ...]) -> dict[int, int]:
@@ -209,17 +201,15 @@ def preprocess(g: Digraph, group: Group) -> ReducedInstance:
         inst.early_no = inst.lift(partial)
         return inst
 
-    while True:
+    while edges:
         loops = [t for t in edges if t[0] == t[1]]
         if loops:
             edges = [t for t in edges if t[0] != t[1]]
             steps.append(f"deleted {len(loops)} loop(s)")
             continue
-        if not edges:
-            break
 
         cur = _relabel(edges)
-        bridges, _, _ = structure_report(cur.graph)
+        bridges, components, _ = structure_report(cur.graph)
         if bridges:
             b = min(bridges)
             steps.append("bridge found: not connected")
@@ -251,10 +241,9 @@ def preprocess(g: Digraph, group: Group) -> ReducedInstance:
             drop = set(t.edge_ids)
             edges = [e for i, e in enumerate(edges) if i not in drop]
             continue
-        break
 
-    components = _relabel_components(edges)
-    return ReducedInstance(g, group, tuple(components), None, tuple(forced), tuple(steps))
+        return ReducedInstance(g, group, _split(cur, components), None, tuple(forced), tuple(steps))
+    return ReducedInstance(g, group, (), None, tuple(forced), tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -517,21 +506,18 @@ class FastInstance:
     def __init__(self, g: Digraph, group: Group, thread_opt: bool = True):
         self.graph = g
         self.group = group
-        self.thread_opt = thread_opt
         self.cf = ClassFunction(g, group, use_threads=thread_opt)
         k = group.order
         ndig = self.cf.num_digits
         if k**ndig > FAST_TABLE_LIMIT:
             raise ValueError(f"class table |G|**{ndig} exceeds the fast-engine limit")
-        if not pack_supported(group, max(ndig, 1)):
-            raise ValueError("group/graph does not fit the packed key representation")
         self.key_packer = Packer(group, max(ndig, 1))
 
         # enumeration coordinates: one per length-2 thread (distinct
         # sign-normalized nonzero value pairs), one per remaining edge
         # (single nonzero values)
         thread_edges = {e for t in self.cf.pair_threads for e in t.edges}
-        self.coords: list[dict] = []
+        coords: list[list[EdgeVector]] = []
         for t in self.cf.pair_threads:
             vectors = []
             for a in range(1, k):
@@ -540,7 +526,7 @@ class FastInstance:
                     h[t.edges[0]] = a if t.signs[0] > 0 else group.neg(a)
                     h[t.edges[1]] = b if t.signs[1] > 0 else group.neg(b)
                     vectors.append(tuple(h))
-            self.coords.append({"kind": "thread", "thread": t, "vectors": vectors})
+            coords.append(vectors)
         for e in range(g.m):
             if e in thread_edges:
                 continue
@@ -549,17 +535,15 @@ class FastInstance:
                 h = [0] * g.m
                 h[e] = v
                 vectors.append(tuple(h))
-            self.coords.append({"kind": "edge", "edge": e, "vectors": vectors})
+            coords.append(vectors)
 
         # packed key-digit contribution of every coordinate value
         self.tables = [
-            _pack_columns(self.key_packer, [self._key_digits(h) for h in c["vectors"]])
-            for c in self.coords
+            _pack_columns(self.key_packer, [self._key_digits(h) for h in vectors])
+            for vectors in coords
         ]
-        self.sizes = [len(c["vectors"]) for c in self.coords]
-        self.total = 1
-        for sz in self.sizes:
-            self.total *= sz
+        self.sizes = [len(vectors) for vectors in coords]
+        self.total = math.prod(self.sizes)
 
     def _key_digits(self, h: EdgeVector) -> tuple[int, ...]:
         norm = self.cf.tree_normalize(h)
@@ -647,9 +631,7 @@ class FastInstance:
         tabs = [_pack_columns(packer, values) for values in coords]
         dtabs = [None if d is None else _pack_columns(packer, d) for d in deltas]
         sizes = [len(v) for v in coords]
-        total = 1
-        for sz in sizes:
-            total *= sz
+        total = math.prod(sizes)
         nthreads = len(self.cf.pair_threads)
 
         for start in range(0, total, CHUNK):

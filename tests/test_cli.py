@@ -145,6 +145,24 @@ def test_cli_flows(capsys, tmp_path):
     assert len(payload["flows"]) == 4
 
 
+def test_cli_flows_lists_only_small_flow_spaces(capsys, tmp_path):
+    p = tmp_path / "dipole8.txt"
+    p.write_text("2 8\n" + "0 1\n" * 8)
+    code, out, _ = run(capsys, "flows", "--graph", str(p), "--group", "z4")
+    assert code == EXIT_YES
+    payload = json.loads(out)
+    assert payload["rank"] == 7 and payload["count"] == 4**7
+    assert "flows" not in payload
+
+
+def test_cli_negative_vertex_count_is_exit_2(capsys, tmp_path):
+    p = tmp_path / "neg.txt"
+    p.write_text("-1 0\n")
+    code, out, err = run(capsys, "test", "--graph", str(p), "--group", "z4")
+    assert code == EXIT_ERROR and out == ""
+    assert "negative vertex count" in err
+
+
 def test_cli_search(capsys, tmp_path):
     bases = tmp_path / "bases.g6"
     bases.write_text(encode_graph6(CUBE) + "\n")
@@ -198,6 +216,14 @@ def test_cli_search_refuses_foreign_checkpoint(capsys, tmp_path):
     code, _, err = run(capsys, *argv, "--seed", "5", "--resume")
     assert code == EXIT_ERROR
     assert "different search configuration" in err and "Traceback" not in err
+
+
+def test_cli_search_resume_needs_checkpoint(capsys, tmp_path):
+    bases = tmp_path / "bases.g6"
+    bases.write_text(encode_graph6(complete_graph(4)) + "\n")
+    code, _, err = run(capsys, "search", "--bases", str(bases), "--added", "1", "--groups", "z4,z2^2", "--resume")
+    assert code == EXIT_ERROR
+    assert "checkpoint" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("groups", ["z4", "z4,z2^2,z8"])

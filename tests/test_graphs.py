@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,34 @@ from groupconn.graphs import (
     thread_profile,
 )
 
-from conftest import CUBE, complete_graph, cycle_graph
+from conftest import CUBE, complete_graph, cycle_graph, random_multigraph
+
+
+def _random_multigraphs():
+    """500 seeded multigraphs with up to 9 vertices and 14 edges, loops and parallel edges included."""
+    rng = random.Random(1711)
+    out = []
+    for _ in range(500):
+        n = rng.randint(1, 9)
+        out.append(random_multigraph(rng, n, rng.randint(0, 14)))
+    return out
+
+
+def _bfs_components(n, edges):
+    comp = [-1] * n
+    out = []
+    for s in range(n):
+        if comp[s] == -1:
+            comp[s] = s
+            queue = [s]
+            for v in queue:
+                for a, b in edges:
+                    for x, y in ((a, b), (b, a)):
+                        if x == v and comp[y] == -1:
+                            comp[y] = s
+                            queue.append(y)
+            out.append(sorted(queue))
+    return out
 
 
 def test_parse_graph6_k4():
@@ -57,6 +86,13 @@ def test_parse_edgelist_errors():
         parse_edgelist("2 1\n0 2")  # vertex out of range
     with pytest.raises(GraphParseError):
         parse_edgelist("2 2\n0 1")  # edge count mismatch
+
+
+def test_negative_vertex_count_is_rejected():
+    with pytest.raises(ValueError):
+        Digraph(-3, ())
+    with pytest.raises(GraphParseError, match="negative vertex count"):
+        parse_edgelist("-1 0")
 
 
 def test_subdivide_triangle():
@@ -148,6 +184,46 @@ def test_structure_report_loops_never_bridges():
     g = Digraph(2, ((0, 1), (0, 0)))
     bridges, _, loops = structure_report(g)
     assert bridges == {0} and loops == {1}
+
+
+def test_structure_report_matches_brute_force():
+    for g in _random_multigraphs():
+        bridges, components, loops = structure_report(g)
+        assert components == _bfs_components(g.n, g.edges)
+        assert loops == {i for i, (u, v) in enumerate(g.edges) if u == v}
+        for e in range(g.m):
+            rest = g.edges[:e] + g.edges[e + 1:]
+            assert (e in bridges) == (len(_bfs_components(g.n, rest)) > len(components))
+
+
+def _walk(g, path, start):
+    """The vertices a thread or cycle visits after `start`, checking each edge's sign on the way."""
+    cur, seen = start, []
+    for e, sign in zip(path.edge_ids, path.signs):
+        u, v = g.edges[e] if sign > 0 else g.edges[e][::-1]
+        assert u == cur
+        cur = v
+        seen.append(cur)
+    return seen
+
+
+def test_thread_profile_invariants_on_random_multigraphs():
+    for g in _random_multigraphs():
+        g = Digraph(g.n, tuple((u, v) for u, v in g.edges if u != v))
+        prof = thread_profile(g)
+        deg = g.degrees()
+        paths = prof.threads + prof.cycle_components
+        assert sorted(e for p in paths for e in p.edge_ids) == list(range(g.m))
+        for t in prof.threads:
+            assert t.tail_anchor <= t.head_anchor
+            assert deg[t.tail_anchor] != 2 and deg[t.head_anchor] != 2
+            *interior, end = _walk(g, t, t.tail_anchor)
+            assert end == t.head_anchor
+            assert all(deg[v] == 2 for v in interior)
+        for c in prof.cycle_components:
+            start = g.edges[c.edge_ids[0]][0 if c.signs[0] > 0 else 1]
+            visited = _walk(g, c, start)
+            assert visited[-1] == start and all(deg[v] == 2 for v in visited)
 
 
 @settings(max_examples=40, deadline=None)

@@ -120,6 +120,12 @@ def test_checkpoint_resume(tmp_path):
     assert json.loads(ckpt.read_text())["done"] == 6
 
 
+def test_resume_without_checkpoint_is_refused():
+    # it would otherwise restart at the first task and emit every witness again
+    with pytest.raises(ValueError, match="checkpoint"):
+        next(iter(discrepancy_search([K4], Z4, Z2xZ2, SearchConfig(resume=True))))
+
+
 def test_run_search_stream(tmp_path):
     out = io.StringIO()
     cfg = SearchConfig(added=range(3, 4), order="sequential", distinct_edges_only=True, max_witnesses=1)
