@@ -4,8 +4,9 @@ The witness is base 3 of data/cubic12.g6 with edges 2 (4,5), 6 (3,7) and
 12 (0,10) subdivided once each: n = 15, m = 21.  Both groups are decided
 in full with the fast oracle, so the fixture does not rest on the
 ``sumset`` engine that the search uses; the z4 NO-certificate is
-re-verified, and the result is written in the search's
-own witness format.  About 7.5 min and 0.6 GB on a 2-core x86 box.
+re-verified, the z2^2 YES is cross-checked with the naive engine, and
+the result is written in the search's own witness format.  About 7.5
+min and 0.6 GB on a 2-core x86 box.
 
 Example:
     PYTHONPATH=src python3 scripts/make_witness_fixture.py \
@@ -50,7 +51,10 @@ def main(argv=None) -> int:
         return 1
     print(f"z4 certificate: {tuple(v_no.certificate)}", file=sys.stderr)
 
-    w = Witness(g, Z2xZ2, Z4, tuple(v_no.certificate), BASE_INDEX, counts, time.perf_counter() - t0)
+    if not decide(g, Z2xZ2, "naive").connected:
+        print("naive cross-check disagrees for z2^2", file=sys.stderr)
+        return 1
+    w = Witness(g, Z2xZ2, Z4, tuple(v_no.certificate), BASE_INDEX, counts, time.perf_counter() - t0, True)
     if args.output == "-":
         print(w.to_json())
     else:

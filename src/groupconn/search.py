@@ -9,10 +9,12 @@ engine, settles both groups (its preprocessing already answers NO for a
 bridge, a long thread or a long cycle, and sumset answers NO when there
 is no nowhere-zero flow).  On a discrepancy the NO side's certificate is
 proved by ``verify_certificate`` (flow enumeration, independent of the
-engine that found it), and the YES side of a small witness is
-cross-checked by deciding it again with the ``naive`` engine.  Either
-check failing is an ``AssertionError`` that stops the search.  Nothing
-is sampled; the only randomness is the task order.
+engine that found it), and the YES side is cross-checked by deciding it
+again with the ``naive`` engine whenever its |G|^(n-1) tree mappings fit
+``solver.NAIVE_KEY_LIMIT``; a witness past that limit carries
+``yes_crosschecked`` false.  Either check failing is an
+``AssertionError`` that stops the search.  Nothing is sampled; the only
+randomness is the task order.
 """
 
 from __future__ import annotations
@@ -27,14 +29,10 @@ import time
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Optional, TextIO
 
-from .flows import spanning_structure
+from . import solver
 from .graphs import Digraph, parse_graph6, subdivide
 from .groups import Group
 from .solver import certificate_entries, decide, verify_certificate
-
-# a witness's YES side is cross-checked with `naive` only when that is cheap
-NAIVE_CROSSCHECK_RANK = 6  # cycle rank cap
-NAIVE_CROSSCHECK_LIMIT = 2**22  # cap on |G|^(n-1)
 
 
 @dataclass(frozen=True)
@@ -60,6 +58,7 @@ class Witness:
     base_index: int
     counts: tuple[int, ...]
     elapsed: float
+    yes_crosschecked: bool  # the naive engine confirmed the YES side
 
     def to_json(self) -> str:
         return json.dumps(
@@ -74,6 +73,7 @@ class Witness:
                 "base_index": self.base_index,
                 "subdivision_counts": list(self.counts),
                 "elapsed": round(self.elapsed, 3),
+                "yes_crosschecked": self.yes_crosschecked,
             }
         )
 
@@ -214,12 +214,11 @@ def _examine(task: SearchTask, group_a: Group, group_b: Group) -> Optional[Witne
     yes, no = (va, vb) if va.connected else (vb, va)
     if not verify_certificate(g, no.group, no.certificate):
         raise AssertionError("witness certificate failed re-verification")
-    cheap = spanning_structure(g).rank <= NAIVE_CROSSCHECK_RANK
-    if cheap and yes.group.order ** (g.n - 1) <= NAIVE_CROSSCHECK_LIMIT:
+    crosschecked = yes.group.order ** (g.n - 1) <= solver.NAIVE_KEY_LIMIT
+    if crosschecked:
         _crosscheck(g, yes.group)
-    return Witness(
-        g, yes.group, no.group, tuple(no.certificate), task.base_index, task.counts, time.perf_counter() - t0
-    )
+    elapsed = time.perf_counter() - t0
+    return Witness(g, yes.group, no.group, tuple(no.certificate), task.base_index, task.counts, elapsed, crosschecked)
 
 
 def _crosscheck(g: Digraph, yes: Group) -> None:

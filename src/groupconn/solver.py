@@ -16,10 +16,11 @@ Four engines share the same contract:
   their class keys in a table, and sweep the table for an unmarked class.
 * ``solve_sumset``       -- the production engine: the boundaries of
   nowhere-zero mappings form a Minkowski sum with one factor per edge
-  (Jaeger, Linial, Payan and Tarsi, JCTB 56, 1992), held as a bool array
-  over the zero-sum boundaries of the vertices left when short threads
-  are contracted into edges.  Its SUMSET_LIMIT counts only those
-  vertices, so it reaches graphs whose ``fast`` table is too large.
+  (Jaeger, Linial, Payan and Tarsi, JCTB 56, 1992), held as a bit array
+  (64 boundaries to a uint64 word) over the zero-sum boundaries of the
+  vertices left when short threads are contracted into edges.  Its
+  SUMSET_LIMIT counts only those vertices, so it reaches graphs whose
+  ``fast`` table is too large.
 
 The first two share one flow-check kernel and differ only in the edges
 whose values they enumerate: every edge, or the edges of a spanning
@@ -38,6 +39,7 @@ without preprocessing, else sumset on every reduced component.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -54,9 +56,9 @@ from .graphs import CycleComponent, Digraph, Thread, structure_report, thread_pr
 from .groups import Group
 
 ULTRA_NAIVE_LIMIT = 10**8  # cap on |G|^m work items
-NAIVE_KEY_LIMIT = 2**27  # cap on tree-representative enumeration
+NAIVE_KEY_LIMIT = 2**28  # cap on tree-representative enumeration (one bit per mapping)
 FAST_TABLE_LIMIT = 2**28  # cap on the class-marking table (one byte per key)
-SUMSET_LIMIT = 2**28  # cap on the boundary array (one byte per boundary, threads contracted)
+SUMSET_LIMIT = 2**28  # cap on the boundary array (one bit per boundary, threads contracted)
 CHUNK = 1 << 21  # vectorized enumeration chunk size
 
 PackedCols = tuple  # one numpy uint64 array per group factor
@@ -748,26 +750,114 @@ def _tree_mapping(g: Digraph, group: Group, root: int, beta: Sequence[int]) -> E
     return tuple(h)
 
 
-def _shifted(arr: np.ndarray, move: tuple[np.ndarray, np.ndarray], axes: tuple) -> np.ndarray:
-    """arr moved by c*(chi_u - chi_v): out[.., x_u, .., x_v, ..] = arr[.., x_u - c, .., x_v + c, ..].
+@functools.lru_cache(maxsize=None)
+def _layout(k: int, axes: int) -> tuple[int, np.ndarray]:
+    """j, the largest with k**j <= 64, and the word of all live cells of a (k,) * axes array."""
+    j = 1
+    while k ** (j + 1) <= 64:
+        j += 1
+    return j, np.array((1 << k ** min(axes, j)) - 1, dtype=np.uint64)
 
-    move holds the index arrays x -> x - c and x -> x + c (columns of the
-    Cayley table), axes the axes of the tail u and the head v; the vertex
-    without an axis has None, and at most one of the two does, so the
-    result is always a new array.
+
+_BIT_MOVES: dict[tuple[bytes, int], list[tuple[np.ufunc, np.ndarray, np.ndarray]]] = {}
+
+
+def _moved_bits(words: np.ndarray, index: np.ndarray, stride: int) -> np.ndarray:
+    """out[.., x, ..] = words[.., index[x], ..] along the in-word axis of the given stride.
+
+    One shift and one AND per source-to-target offset, the mask keeping the
+    target cells, among the k**j live bits, that the offset serves; the
+    (shift, mask) lists are built once per move and stride.
     """
-    for index, axis in zip(move, axes):
-        if axis is not None:
-            arr = np.take(arr, index, axis=axis)
-    return arr
-
-
-def _with_edge(arr: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]], axes: tuple) -> np.ndarray:
-    """The boundaries of arr plus one edge uv taking the values of moves."""
-    out = _shifted(arr, moves[0], axes)
-    for move in moves[1:]:
-        out |= _shifted(arr, move, axes)
+    key = (index.tobytes(), stride)
+    if key not in _BIT_MOVES:
+        k = len(index)
+        masks: dict[int, int] = {}
+        for b in range(k ** _layout(k, 0)[0]):
+            x = (b // stride) % k
+            off = (int(index[x]) - x) * stride  # > 0: the source is the higher bit
+            masks[off] = masks.get(off, 0) | 1 << b
+        _BIT_MOVES[key] = [
+            (np.right_shift if o > 0 else np.left_shift, np.array(abs(o), np.uint64), np.array(m, np.uint64))
+            for o, m in masks.items()
+        ]
+    (shift, by, mask), *rest = _BIT_MOVES[key]
+    out = shift(words, by)
+    out &= mask
+    for shift, by, mask in rest:
+        part = shift(words, by)
+        part &= mask
+        out |= part
     return out
+
+
+class _Cells:
+    """A bool array of shape (k,) * axes in C order, 64 cells to a uint64 word.
+
+    The innermost min(axes, j) axes (``_layout``) are the bits of one word,
+    the last axis the least significant digit; the outer axes are the axes
+    of ``words``.  Bits past the k**min(axes, j) live cells stay 0.  Axes
+    are named by place: place p >= 1 owns axis ``axes - p``, so places
+    1..j are in the word, with stride k**(p-1), and place 0 owns no axis.
+    """
+
+    def __init__(self, k: int, axes: int, words: np.ndarray):
+        self.k, self.axes, self.words = k, axes, words
+        self.j, self.full = _layout(k, axes)
+
+    def grown(self) -> _Cells:
+        """One more axis, in front; every cell set so far gets digit 0 on it."""
+        if self.axes < self.j:  # digit 0 of a new in-word axis leaves every bit in place
+            return _Cells(self.k, self.axes + 1, self.words)
+        words = np.zeros((self.k,) + self.words.shape, dtype=np.uint64)
+        words[0] = self.words
+        return _Cells(self.k, self.axes + 1, words)
+
+    def shifted(self, move: tuple[np.ndarray, ...], places: tuple[int, ...]) -> np.ndarray:
+        """Words of self moved by move: out[.., x_p, ..] = self[.., move[i][x_p], ..] at p = places[i].
+
+        A new array; at most one place may be 0 (no axis).
+        """
+        words = self.words
+        for index, p in zip(move, places):
+            if p > self.j:
+                words = words.take(index, axis=self.axes - p)
+            elif p:
+                words = _moved_bits(words, index, self.k ** (p - 1))
+        return words
+
+    def with_edge(self, moves: Sequence[tuple], places: tuple[int, ...]) -> _Cells:
+        """The boundaries of self plus one edge taking the values of moves."""
+        words = self.shifted(moves[0], places)
+        for move in moves[1:]:
+            words |= self.shifted(move, places)
+        return _Cells(self.k, self.axes, words)
+
+    def hit_by(self, moves: Sequence[tuple], places: tuple[int, ...], times: int) -> bool:
+        """Whether every cell is set in at least `times` of the moved arrays.
+
+        Bit-sliced saturating counters: ge[q] holds the cells hit q+1 times or more.
+        """
+        ge = [np.zeros_like(self.words) for _ in range(times)]
+        for move in moves:
+            hit = self.shifted(move, places)
+            for q in range(times - 1, 0, -1):
+                ge[q] |= ge[q - 1] & hit
+            ge[0] |= hit
+        return bool((ge[-1] == self.full).all())
+
+    def all(self) -> bool:
+        return bool((self.words == self.full).all())
+
+    def count(self) -> int:
+        return int(np.bitwise_count(self.words).sum())
+
+    def first_zero(self) -> int:
+        """C-order flat index of the first cell not set; the array must not be full."""
+        flat = self.words.reshape(-1)
+        w = int(np.flatnonzero(flat != self.full)[0])
+        x = int(flat[w])
+        return w * self.k ** min(self.axes, self.j) + (~x & (x + 1)).bit_length() - 1
 
 
 def solve_sumset(g: Digraph, group: Group) -> Verdict:
@@ -775,10 +865,11 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
 
     g is connected exactly when every zero-sum boundary beta is the
     boundary of a nowhere-zero mapping.  Those boundaries are the sum over
-    edges uv of {c*(chi_u - chi_v) : c != 0}, kept as a bool array with one
-    axis of size |G| per vertex but the first of _elimination_order, whose
-    value is fixed by the zero sum.  Vertices join the array in that order,
-    a vertex's edges to earlier vertices being added right after it joins.
+    edges uv of {c*(chi_u - chi_v) : c != 0}, kept as a packed bool array
+    (``_Cells``) with one axis of size |G| per vertex but the first of
+    _elimination_order, whose value is fixed by the zero sum.  Vertices
+    join the array in that order, a vertex's edges to earlier vertices
+    being added right after it joins.
 
     A thread u -> w1 -> ... -> v of 2 <= L <= |G|-1 edges is contracted
     first: boundaries at w1.. with partial sums s1.. leave its first edge
@@ -821,24 +912,17 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
         joins[max(place[u], place[v])].append((u, v))
     table = np.array([[group.add(a, b) for b in range(k)] for a in range(k)], dtype=np.intp)
     moves = [(table[:, group.neg(c)], table[:, c]) for c in range(k)]
-
-    def axes(level: int, *ends: int) -> tuple:
-        # the vertex at place p > 0 owns axis level - p; place 0 owns none
-        return tuple(level - place[x] if place[x] else None for x in ends)
-
     stats = {"boundaries_total": total, "edges_added": 0, "threads_contracted": len(contracted), "thread_branches": 0}
-    reached = np.ones((), dtype=bool)
+    reached = _Cells(k, 0, np.ones((), dtype=np.uint64))
     for t in range(1, n):
-        grown = np.zeros((k,) + reached.shape, dtype=bool)
-        grown[0] = reached
-        reached = grown
+        reached = reached.grown()
         for u, v in joins[t]:
-            reached = _with_edge(reached, moves[1:], axes(t, u, v))
+            reached = reached.with_edge(moves[1:], (place[u], place[v]))
             stats["edges_added"] += 1
             if t == n - 1 and reached.all():
                 break
 
-    def branch(i: int, arr: np.ndarray):
+    def branch(i: int, arr: _Cells):
         """The first leaf below arr that is not full, and the F chosen for threads i.., or None."""
         if i == len(threads):
             return None if arr.all() else (arr, [])
@@ -846,16 +930,12 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
         if arr.all():
             return None
         u, v, mid = threads[i]
-        ends = axes(n - 1, u, v)
-        if i == len(threads) - 1:
-            hits = np.zeros(arr.shape, dtype=np.uint8)
-            for move in moves[1:]:
-                hits += _shifted(arr, move, ends)
-            if hits.min() > len(mid):
-                return None
+        ends = (place[u], place[v])
+        if i == len(threads) - 1 and arr.hit_by(moves[1:], ends, len(mid) + 1):
+            return None
         for f in itertools.combinations(range(1, k), len(mid)):
             stats["edges_added"] += 1
-            found = branch(i + 1, _with_edge(arr, [moves[c] for c in range(1, k) if c not in f], ends))
+            found = branch(i + 1, arr.with_edge([moves[c] for c in range(1, k) if c not in f], ends))
             if found:
                 return found[0], [f] + found[1]
         return None
@@ -865,9 +945,8 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
         stats.update(boundaries_reached=total, elapsed=time.perf_counter() - t0)
         return Verdict(g, group, True, None, "sumset", stats)
     leaf, chosen = found
-    stats["boundaries_reached"] = int(np.count_nonzero(leaf))
-    # argmin of a bool array is its first False: the first unreached beta
-    digits = _digits_of(int(np.argmin(leaf)), k, n - 1)  # digits[0] is the last place
+    stats["boundaries_reached"] = leaf.count()
+    digits = _digits_of(leaf.first_zero(), k, n - 1)  # the first unreached beta; digits[0] is the last place
     beta = [0] * g.n
     for p in range(1, n):
         beta[order[p]] = digits[n - 1 - p]

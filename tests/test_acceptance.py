@@ -61,7 +61,6 @@ class _Report:
 
 def _connected(g: Digraph) -> bool:
     _, components, _ = structure_report(g)
-    populated = [c for c in components if len(c) > 1 or g.n == 1]
     return len(components) == 1
 
 

@@ -255,9 +255,10 @@ def test_search_is_complete_on_benchmark_round():
     assert found == want
 
 
-def test_search_refinds_cubic12_witness():
+def test_search_refinds_cubic12_witness(monkeypatch):
     # the search decides every candidate, so the committed witness's own
-    # candidate yields it
+    # candidate yields it, its z2^2 YES cross-checked by naive (4^14 tree mappings)
+    from groupconn import solver
     from groupconn.search import _examine
 
     with open(os.path.join(DATA_DIR, "witness_z22_yes_z4_no.json")) as fh:
@@ -269,6 +270,34 @@ def test_search_refinds_cubic12_witness():
     assert w.graph == Digraph(payload["graph"]["n"], tuple(tuple(e) for e in payload["graph"]["edges"]))
     assert w.yes_group == Z2xZ2 and w.no_group == Z4
     assert verify_certificate(w.graph, Z4, w.certificate)
+    assert w.yes_crosschecked and json.loads(w.to_json())["yes_crosschecked"] is True
+
+    def contradicting_naive(g, group):
+        return solver.Verdict(g, group, False, (0,) * g.m, "naive")
+
+    monkeypatch.setattr(solver, "solve_naive", contradicting_naive)
+    with pytest.raises(AssertionError, match="naive cross-check"):
+        _examine(task, Z4, Z2xZ2)
+
+
+def test_witness_past_the_naive_limit_is_marked_unchecked(monkeypatch):
+    # the cube+3 witness has n = 11: 4^10 tree mappings, one more than the limit
+    from groupconn import solver
+    from groupconn.search import _examine
+
+    def no_naive(g, group):
+        raise AssertionError("naive ran")
+
+    monkeypatch.setattr(solver, "NAIVE_KEY_LIMIT", 4**10 - 1)
+    monkeypatch.setattr(solver, "solve_naive", no_naive)
+    cfg = SearchConfig(added=range(3, 4), order="sequential", distinct_edges_only=True)
+    w = next(iter(discrepancy_search([CUBE], Z4, Z2xZ2, cfg)))
+    assert w.graph.n == 11 and not w.yes_crosschecked
+    assert json.loads(w.to_json())["yes_crosschecked"] is False
+    # at the limit itself the cross-check runs
+    monkeypatch.setattr(solver, "NAIVE_KEY_LIMIT", 4**10)
+    with pytest.raises(AssertionError, match="naive ran"):
+        _examine(SearchTask(w.base_index, CUBE, w.counts), Z4, Z2xZ2)
 
 
 def test_cubic12_all_holds_every_3_edge_colorable_class():

@@ -3,12 +3,13 @@ import json
 import os
 import random
 
+import numpy as np
 import pytest
 
 from groupconn import solver
 from groupconn.flows import find_satisfying_flow, spanning_structure
 from groupconn.graphs import Digraph, structure_report, subdivide, thread_profile
-from groupconn.groups import Z2, Z3, Z4, Z2xZ2, make_group
+from groupconn.groups import Z2, Z3, Z4, Z2xZ2, make_group, parse_group
 from groupconn.search import enumerate_subdivisions
 from groupconn.solver import (
     Verdict,
@@ -397,6 +398,113 @@ def test_sumset_rechecks_its_certificates(monkeypatch):
     for g in (PETERSEN, subdivide(PETERSEN, 0)):
         with pytest.raises(AssertionError, match="sumset engine"):
             solve_sumset(g, Z4)
+
+
+# -- the packed boundary array -------------------------------------------------
+
+PACKED_GROUPS = ["z2", "z3", "z4", "z2^2", "z5", "z6", "z7", "z8", "c:2,4", "z2^3", "z64"]
+
+
+def pack_cells(k: int, arr: np.ndarray) -> solver._Cells:
+    """The packed form of a bool array of shape (k,) * arr.ndim."""
+    inner = min(arr.ndim, solver._layout(k, 0)[0])
+    bits = arr.reshape(arr.shape[: arr.ndim - inner] + (k**inner,)).astype(np.uint64)
+    words = np.bitwise_or.reduce(bits << np.arange(k**inner, dtype=np.uint64), axis=-1)
+    return solver._Cells(k, arr.ndim, words)
+
+
+def unpack_cells(cells: solver._Cells) -> np.ndarray:
+    """The bool array a packed one holds; its unused high bits must be 0."""
+    k, inner = cells.k, min(cells.axes, cells.j)
+    assert not (cells.words & ~cells.full).any()
+    bits = (cells.words[..., None] >> np.arange(k**inner, dtype=np.uint64)) & np.uint64(1)
+    return bits.astype(bool).reshape((k,) * cells.axes)
+
+
+def shifted_reference(arr: np.ndarray, move, places) -> np.ndarray:
+    for index, p in zip(move, places):
+        if p:
+            arr = np.take(arr, index, axis=arr.ndim - p)
+    return arr
+
+
+def test_word_layout():
+    assert [solver._layout(k, 0)[0] for k in (2, 3, 4, 5, 6, 7, 8, 64)] == [6, 3, 3, 2, 2, 2, 2, 1]
+    assert [int(solver._layout(k, 9)[1]).bit_count() for k in (3, 5, 6, 7, 64)] == [27, 25, 36, 49, 64]
+
+
+@pytest.mark.parametrize("spec", PACKED_GROUPS)
+def test_packed_cells_match_bool_arrays(spec):
+    group = parse_group(spec)
+    k = group.order
+    rng = np.random.default_rng(k)
+    moves = [
+        (np.array([group.sub(x, c) for x in range(k)]), np.array([group.add(x, c) for x in range(k)])) for c in range(k)
+    ]
+    outcomes = set()
+    for axes in range(1, 8):
+        if k**axes > 2**14:
+            break
+        shape = (k,) * axes
+        arr = rng.random(shape) < 0.5
+        cells = pack_cells(k, arr)
+        assert np.array_equal(unpack_cells(cells), arr)
+        grown = np.zeros((k,) + shape, dtype=bool)
+        grown[0] = arr
+        assert np.array_equal(unpack_cells(cells.grown()), grown)
+        # every move along every pair of places, place 0 owning no axis
+        for pu, pv in itertools.permutations(range(axes + 1), 2):
+            for move in moves:
+                want = shifted_reference(arr, move, (pu, pv))
+                got = solver._Cells(k, axes, cells.shifted(move, (pu, pv)))
+                assert np.array_equal(unpack_cells(got), want), (spec, axes, pu, pv)
+            sub = moves[1 : 1 + int(rng.integers(1, k))]
+            want = np.logical_or.reduce([shifted_reference(arr, move, (pu, pv)) for move in sub])
+            assert np.array_equal(unpack_cells(cells.with_edge(sub, (pu, pv))), want)
+        # all, count and first zero, on arrays with 0 to 3 cells cleared
+        for cleared in range(4):
+            arr = np.ones(shape, dtype=bool)
+            arr.flat[rng.integers(0, arr.size, cleared)] = False
+            cells = pack_cells(k, arr)
+            assert cells.all() == arr.all()
+            assert cells.count() == np.count_nonzero(arr)
+            if not arr.all():
+                assert cells.first_zero() == int(np.argmin(arr))
+            # at least `times` of the |G|-1 nonzero moves hit every cell
+            pu, pv = (int(p) for p in rng.choice(axes + 1, 2, replace=False))
+            hits = sum(shifted_reference(arr, move, (pu, pv)).astype(int) for move in moves[1:])
+            for times in range(1, k):
+                want = bool((hits >= times).all())
+                assert cells.hit_by(moves[1:], (pu, pv), times) == want, (spec, axes, times)
+                outcomes.add(want)
+    assert outcomes == {False, True}
+
+
+def test_sumset_agrees_with_naive_on_wider_layouts():
+    # orders whose words hold 6, 3, 2 and 2 axes; every odd graph is
+    # subdivided to 7 vertices, with threads short enough to be contracted
+    rng = random.Random(20261019)
+    for spec in ("z2", "z3", "z7", "z8", "c:2,4", "z2^3"):
+        group = parse_group(spec)
+        k = group.order
+        # a Z2-flow avoiding h is h + 1, which is not a flow for every h once
+        # there is a non-loop edge, so only one-vertex graphs are Z2-connected
+        graphs = [Digraph(1, ())]
+        for i in range(30):
+            n = rng.randint(2, 4)
+            g = random_connected_loopfree(rng, n, rng.randint(n + 1, n + 4))
+            while i % 2 and k > 2 and g.n < 7:
+                g = subdivide(g, rng.randrange(g.m), rng.randint(1, min(k - 2, 7 - g.n)))
+            graphs.append(g)
+        verdicts, contracted = set(), 0
+        for g in graphs:
+            v = solve_sumset(g, group)
+            assert v.connected == solve_naive(g, group).connected, (spec, g)
+            check_sumset_no(v)
+            verdicts.add(v.connected)
+            contracted += v.stats["threads_contracted"]
+        assert verdicts == {False, True}, spec
+        assert contracted or k == 2, spec
 
 
 # -- the auto policy ---------------------------------------------------------
