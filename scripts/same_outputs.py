@@ -10,10 +10,11 @@ the 3-cube with 1 to 3 added vertices.  For each graph it records
 ``structure_report``, ``thread_profile`` of the loop-free part,
 ``preprocess`` (``early_no``, ``steps`` and the components as a
 multiset) and the ``decide`` verdict and certificate over z3, z4 and
-z2^2: with ``auto`` on every graph, and with ``fast`` in both
-``thread_opt`` modes on a 340-graph slice.  An exception is recorded as
-an output by its type.  The two runs are compared item by item and the
-first item that differs is printed.
+z2^2: with ``auto``, ``naive`` and ``ultra`` (``use_preprocessing=False``)
+on every graph, and with ``fast`` in both ``thread_opt`` modes on a
+340-graph slice.  An exception is recorded as an output by its type.
+The two runs are compared item by item and the first item that differs
+is printed.
 
 Exit status: 0 when every output matches, 1 on a difference, 2 when a
 checkout fails to produce its outputs.
@@ -85,8 +86,8 @@ def outputs(root: Path):
         comps = sorted(json.dumps([c.graph.n, c.graph.edges, c.orig_edges]) for c in inst.components)
         return [inst.early_no, inst.steps, comps]
 
-    def verdict(g, group, algorithm, thread_opt=True):
-        v = decide(g, group, algorithm, thread_opt=thread_opt)
+    def verdict(g, group, algorithm, thread_opt=True, use_preprocessing=True):
+        v = decide(g, group, algorithm, use_preprocessing, thread_opt)
         return [v.connected, None if v.certificate is None else list(v.certificate)]
 
     for name, g in corpus:
@@ -95,6 +96,8 @@ def outputs(root: Path):
         for spec, group in zip(GROUPS, groups):
             yield f"{name} preprocess {spec}", guarded(reduced, g, group)
             yield f"{name} decide {spec} auto", guarded(verdict, g, group, "auto")
+            yield f"{name} decide {spec} naive", guarded(verdict, g, group, "naive")
+            yield f"{name} decide {spec} ultra", guarded(verdict, g, group, "ultra", True, False)
             if name in fast_slice:
                 for opt in (True, False):
                     yield f"{name} decide {spec} fast thread_opt={opt}", guarded(verdict, g, group, "fast", opt)

@@ -168,11 +168,16 @@ def discrepancy_search(
     checkpoint of the last witness's task is written, so a resumed run
     starts past it.  With ``resume``, a missing ``checkpoint_path``, or a
     checkpoint written for another configuration or that cannot be read,
-    is a ``ValueError``.
+    is a ``ValueError``; so is an empty ``added`` range, a count below 1 or
+    a negative ``max_witnesses``.
     """
     cfg = config or SearchConfig()
     if group_a.order != group_b.order:
         raise ValueError("the two groups must have equal order")
+    if not cfg.added or min(cfg.added) < 1:
+        raise ValueError(f"added must be a non-empty range of counts >= 1, got {cfg.added}")
+    if cfg.max_witnesses is not None and cfg.max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be >= 0, got {cfg.max_witnesses}")
     if cfg.resume and not cfg.checkpoint_path:
         raise ValueError("resume needs a checkpoint path")
     tasks = _tasks(bases, cfg)

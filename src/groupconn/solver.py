@@ -25,10 +25,13 @@ Four engines share the same contract:
 The first two share one flow-check kernel and differ only in the edges
 whose values they enumerate: every edge, or the edges of a spanning
 tree.  The kernel builds the flows as rows of element indices and marks
-the mappings they avoid in a bit array, one bit per mapping;
-``avoiding_flow`` (behind ``verify_certificate``) scans the same flow
-rows against a single mapping.  Only ``solve_fast`` packs group elements
-into bit lanes.  The first three engines are kept as reference oracles.
+the mappings they avoid in a bit array, one bit per mapping: the
+``_Cells`` array that also holds the sumset's boundaries, in which the
+mappings a flow avoids are its own cell spread along every axis by the
+nonzero moves.  ``avoiding_flow`` (behind ``verify_certificate``) scans
+the same flow rows against a single mapping.  Only ``solve_fast`` packs
+group elements into bit lanes.  The first three engines are kept as
+reference oracles.
 
 ``preprocess`` shrinks an instance with always-sound reductions (loops,
 bridges, short cycles, long threads) and knows how to lift certificates
@@ -249,8 +252,17 @@ def preprocess(g: Digraph, group: Group) -> ReducedInstance:
 
 
 # ---------------------------------------------------------------------------
-# the flow-check kernel shared by the oracles and the certificate check
+# flow rows and the packed bit array shared by the engines
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _cayley(group: Group) -> np.ndarray:
+    """The group's addition table as uint8 element indices: [a, b] is a + b (read-only)."""
+    k = group.order
+    table = np.array([[group.add(a, b) for b in range(k)] for a in range(k)], dtype=np.uint8)
+    table.flags.writeable = False
+    return table
 
 
 def _flow_rows(
@@ -265,8 +277,8 @@ def _flow_rows(
     chunk adds one combination of the leading ones to all of them, through
     the group's Cayley table.
     """
-    k, m = group.order, g.m
-    add = np.array([[group.add(a, b) for b in range(k)] for a in range(k)], dtype=np.uint8)
+    m = g.m
+    add = _cayley(group)
     tables = [
         np.array(
             [flow_from_nontree(g, group, s, [a if i == c else 0 for i in range(s.rank)]) for a in vals],
@@ -288,17 +300,114 @@ def _flow_rows(
         yield add[lead, sums]
 
 
-def _differs(cols: np.ndarray, k: int) -> np.ndarray:
-    """out[f, j]: row f of cols differs from the j-th digit tuple in every column.
+@functools.lru_cache(maxsize=None)
+def _layout(k: int, axes: int) -> tuple[int, np.ndarray]:
+    """j, the largest with k**j <= 64, and the word of all live cells of a (k,) * axes array."""
+    j = 1
+    while k ** (j + 1) <= 64:
+        j += 1
+    return j, np.array((1 << k ** min(axes, j)) - 1, dtype=np.uint64)
 
-    j runs over all k**ncols digit tuples in lexicographic order, column 0
-    the most significant digit.
+
+_BIT_MOVES: dict[tuple[bytes, int], list[tuple[np.ufunc, np.ndarray, np.ndarray]]] = {}
+
+
+def _moved_bits(words: np.ndarray, index: np.ndarray, stride: int) -> np.ndarray:
+    """out[.., x, ..] = words[.., index[x], ..] along the in-word axis of the given stride.
+
+    One shift and one AND per source-to-target offset, the mask keeping the
+    target cells, among the k**j live bits, that the offset serves; the
+    (shift, mask) lists are built once per move and stride.
     """
-    out = np.ones((len(cols), 1), dtype=bool)
-    for col in cols.T:
-        ne = col[:, None] != np.arange(k, dtype=np.uint8)
-        out = (out[:, :, None] & ne[:, None, :]).reshape(len(cols), -1)
+    key = (index.tobytes(), stride)
+    if key not in _BIT_MOVES:
+        k = len(index)
+        masks: dict[int, int] = {}
+        for b in range(k ** _layout(k, 0)[0]):
+            x = (b // stride) % k
+            off = (int(index[x]) - x) * stride  # > 0: the source is the higher bit
+            masks[off] = masks.get(off, 0) | 1 << b
+        _BIT_MOVES[key] = [
+            (np.right_shift if o > 0 else np.left_shift, np.array(abs(o), np.uint64), np.array(m, np.uint64))
+            for o, m in masks.items()
+        ]
+    (shift, by, mask), *rest = _BIT_MOVES[key]
+    out = shift(words, by)
+    out &= mask
+    for shift, by, mask in rest:
+        part = shift(words, by)
+        part &= mask
+        out |= part
     return out
+
+
+class _Cells:
+    """A bool array of shape (k,) * axes in C order, 64 cells to a uint64 word.
+
+    The innermost min(axes, j) axes (``_layout``) are the bits of one word,
+    the last axis the least significant digit; the outer axes are the axes
+    of ``words``.  Bits past the k**min(axes, j) live cells stay 0.  Axes
+    are named by place: place p >= 1 owns axis ``axes - p``, so places
+    1..j are in the word, with stride k**(p-1), and place 0 owns no axis.
+    """
+
+    def __init__(self, k: int, axes: int, words: np.ndarray):
+        self.k, self.axes, self.words = k, axes, words
+        self.j, self.full = _layout(k, axes)
+
+    def grown(self) -> _Cells:
+        """One more axis, in front; every cell set so far gets digit 0 on it."""
+        if self.axes < self.j:  # digit 0 of a new in-word axis leaves every bit in place
+            return _Cells(self.k, self.axes + 1, self.words)
+        words = np.zeros((self.k,) + self.words.shape, dtype=np.uint64)
+        words[0] = self.words
+        return _Cells(self.k, self.axes + 1, words)
+
+    def shifted(self, move: tuple[np.ndarray, ...], places: tuple[int, ...]) -> np.ndarray:
+        """Words of self moved by move: out[.., x_p, ..] = self[.., move[i][x_p], ..] at p = places[i].
+
+        A new array; at most one place may be 0 (no axis).
+        """
+        words = self.words
+        for index, p in zip(move, places):
+            if p > self.j:
+                words = words.take(index, axis=self.axes - p)
+            elif p:
+                words = _moved_bits(words, index, self.k ** (p - 1))
+        return words
+
+    def with_edge(self, moves: Sequence[tuple], places: tuple[int, ...]) -> _Cells:
+        """The OR of self moved by each of moves: for the sumset, self plus one edge taking those values."""
+        words = self.shifted(moves[0], places)
+        for move in moves[1:]:
+            words |= self.shifted(move, places)
+        return _Cells(self.k, self.axes, words)
+
+    def hit_by(self, moves: Sequence[tuple], places: tuple[int, ...], times: int) -> bool:
+        """Whether every cell is set in at least `times` of the moved arrays.
+
+        Bit-sliced saturating counters: ge[q] holds the cells hit q+1 times or more.
+        """
+        ge = [np.zeros_like(self.words) for _ in range(times)]
+        for move in moves:
+            hit = self.shifted(move, places)
+            for q in range(times - 1, 0, -1):
+                ge[q] |= ge[q - 1] & hit
+            ge[0] |= hit
+        return bool((ge[-1] == self.full).all())
+
+    def all(self) -> bool:
+        return bool((self.words == self.full).all())
+
+    def count(self) -> int:
+        return int(np.bitwise_count(self.words).sum())
+
+    def first_zero(self) -> int:
+        """C-order flat index of the first cell not set; the array must not be full."""
+        flat = self.words.reshape(-1)
+        w = int(np.flatnonzero(flat != self.full)[0])
+        x = int(flat[w])
+        return w * self.k ** min(self.axes, self.j) + (~x & (x + 1)).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +475,6 @@ def _digits_of(index: int, k: int, width: int) -> list[int]:
     return out
 
 
-def _avoided_by(hit: np.ndarray, k: int, digits: int) -> np.ndarray:
-    """Row i: the OR of the rows of hit whose base-k digits all differ from i's.
-
-    One pass per digit replaces its k slices by the OR of the other k-1."""
-    for d in range(digits):
-        v = hit.reshape(k**d, k, -1)
-        hit = np.stack([np.bitwise_or.reduce(np.delete(v, c, axis=1), axis=1) for c in range(k)], axis=1)
-    return hit.reshape(k**digits, -1)
-
-
 def _first_unavoidable(
     g: Digraph, group: Group, s: SpanningStructure, positions: Sequence[int], stats: dict
 ) -> Optional[EdgeVector]:
@@ -385,31 +484,34 @@ def _first_unavoidable(
     (zero elsewhere), in lexicographic order with positions[0] the most
     significant digit; `positions` must hold every tree edge.  Such a
     mapping is avoided by flow f exactly when f is nonzero off `positions`
-    and differs from it on every position, which splits edge by edge: with
-    the high half of `positions` as rows and the low half as columns, bit
-    row u collects the columns avoided by flows whose high half is u, and
-    ``_avoided_by`` ORs it into every row that u differs from everywhere.
-    Adds the number of mappings settled to stats["mappings_enumerated"].
+    and differs from it on every position.  So the mappings f avoids are
+    f's cell of a ``_Cells`` array with one axis per position, spread along
+    every axis by the |G|-1 nonzero moves.  Spreading commutes with OR, so
+    each flow ORs in the spread of its in-word digits (``box``), and the
+    outer axes are spread once at the end; the first cell left unset is
+    the first unavoidable mapping.  Adds the number of mappings settled to
+    stats["mappings_enumerated"].
     """
-    k = group.order
+    k, d = group.order, len(positions)
     inside = set(positions)
     values = [range(k) if e in inside else range(1, k) for e in s.nontree_edges]
-    half = len(positions) // 2
-    high, low = list(positions[:half]), list(positions[half:])
-    ncols = k ** len(low)
-    place = k ** np.arange(len(high) - 1, -1, -1, dtype=np.int64)
-    full = np.packbits(np.ones(ncols, dtype=bool))
-    hit = np.zeros((k ** len(high), len(full)), dtype=np.uint8)
-    for flows in _flow_rows(g, group, s, values, CHUNK // max(ncols, g.m)):
-        np.bitwise_or.at(hit, flows[:, high] @ place, np.packbits(_differs(flows[:, low], k), axis=1))
-    avoided = _avoided_by(hit, k, len(high))
-    stats["mappings_enumerated"] += len(avoided) * ncols
-    short = np.flatnonzero((avoided != full).any(axis=1))
-    if not len(short):
+    table = _cayley(group)
+    spread = [(table[:, c],) for c in range(1, k)]
+    j = min(d, _layout(k, 0)[0])
+    box = _Cells(k, j, np.left_shift(np.uint64(1), np.arange(k**j, dtype=np.uint64)))
+    for p in range(1, j + 1):
+        box = box.with_edge(spread, (p,))
+    avoided = _Cells(k, d, np.zeros((k,) * (d - j), dtype=np.uint64))
+    place = k ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    for flows in _flow_rows(g, group, s, values, CHUNK // max(g.m, 1)):
+        flat = flows[:, list(positions)] @ place
+        np.bitwise_or.at(avoided.words.reshape(-1), flat // k**j, box.words[flat % k**j])
+    for p in range(j + 1, d + 1):
+        avoided = avoided.with_edge(spread, (p,))
+    stats["mappings_enumerated"] += k**d
+    if avoided.all():
         return None
-    # argmin of a row of bits is its first zero: the first unavoidable mapping
-    first = int(short[0]) * ncols + int(np.argmin(np.unpackbits(avoided[short[0]], count=ncols)))
-    return _place(g.m, positions, _digits_of(first, k, len(positions)))
+    return _place(g.m, positions, _digits_of(avoided.first_zero(), k, d))
 
 
 def solve_ultra_naive(g: Digraph, group: Group) -> Verdict:
@@ -750,116 +852,6 @@ def _tree_mapping(g: Digraph, group: Group, root: int, beta: Sequence[int]) -> E
     return tuple(h)
 
 
-@functools.lru_cache(maxsize=None)
-def _layout(k: int, axes: int) -> tuple[int, np.ndarray]:
-    """j, the largest with k**j <= 64, and the word of all live cells of a (k,) * axes array."""
-    j = 1
-    while k ** (j + 1) <= 64:
-        j += 1
-    return j, np.array((1 << k ** min(axes, j)) - 1, dtype=np.uint64)
-
-
-_BIT_MOVES: dict[tuple[bytes, int], list[tuple[np.ufunc, np.ndarray, np.ndarray]]] = {}
-
-
-def _moved_bits(words: np.ndarray, index: np.ndarray, stride: int) -> np.ndarray:
-    """out[.., x, ..] = words[.., index[x], ..] along the in-word axis of the given stride.
-
-    One shift and one AND per source-to-target offset, the mask keeping the
-    target cells, among the k**j live bits, that the offset serves; the
-    (shift, mask) lists are built once per move and stride.
-    """
-    key = (index.tobytes(), stride)
-    if key not in _BIT_MOVES:
-        k = len(index)
-        masks: dict[int, int] = {}
-        for b in range(k ** _layout(k, 0)[0]):
-            x = (b // stride) % k
-            off = (int(index[x]) - x) * stride  # > 0: the source is the higher bit
-            masks[off] = masks.get(off, 0) | 1 << b
-        _BIT_MOVES[key] = [
-            (np.right_shift if o > 0 else np.left_shift, np.array(abs(o), np.uint64), np.array(m, np.uint64))
-            for o, m in masks.items()
-        ]
-    (shift, by, mask), *rest = _BIT_MOVES[key]
-    out = shift(words, by)
-    out &= mask
-    for shift, by, mask in rest:
-        part = shift(words, by)
-        part &= mask
-        out |= part
-    return out
-
-
-class _Cells:
-    """A bool array of shape (k,) * axes in C order, 64 cells to a uint64 word.
-
-    The innermost min(axes, j) axes (``_layout``) are the bits of one word,
-    the last axis the least significant digit; the outer axes are the axes
-    of ``words``.  Bits past the k**min(axes, j) live cells stay 0.  Axes
-    are named by place: place p >= 1 owns axis ``axes - p``, so places
-    1..j are in the word, with stride k**(p-1), and place 0 owns no axis.
-    """
-
-    def __init__(self, k: int, axes: int, words: np.ndarray):
-        self.k, self.axes, self.words = k, axes, words
-        self.j, self.full = _layout(k, axes)
-
-    def grown(self) -> _Cells:
-        """One more axis, in front; every cell set so far gets digit 0 on it."""
-        if self.axes < self.j:  # digit 0 of a new in-word axis leaves every bit in place
-            return _Cells(self.k, self.axes + 1, self.words)
-        words = np.zeros((self.k,) + self.words.shape, dtype=np.uint64)
-        words[0] = self.words
-        return _Cells(self.k, self.axes + 1, words)
-
-    def shifted(self, move: tuple[np.ndarray, ...], places: tuple[int, ...]) -> np.ndarray:
-        """Words of self moved by move: out[.., x_p, ..] = self[.., move[i][x_p], ..] at p = places[i].
-
-        A new array; at most one place may be 0 (no axis).
-        """
-        words = self.words
-        for index, p in zip(move, places):
-            if p > self.j:
-                words = words.take(index, axis=self.axes - p)
-            elif p:
-                words = _moved_bits(words, index, self.k ** (p - 1))
-        return words
-
-    def with_edge(self, moves: Sequence[tuple], places: tuple[int, ...]) -> _Cells:
-        """The boundaries of self plus one edge taking the values of moves."""
-        words = self.shifted(moves[0], places)
-        for move in moves[1:]:
-            words |= self.shifted(move, places)
-        return _Cells(self.k, self.axes, words)
-
-    def hit_by(self, moves: Sequence[tuple], places: tuple[int, ...], times: int) -> bool:
-        """Whether every cell is set in at least `times` of the moved arrays.
-
-        Bit-sliced saturating counters: ge[q] holds the cells hit q+1 times or more.
-        """
-        ge = [np.zeros_like(self.words) for _ in range(times)]
-        for move in moves:
-            hit = self.shifted(move, places)
-            for q in range(times - 1, 0, -1):
-                ge[q] |= ge[q - 1] & hit
-            ge[0] |= hit
-        return bool((ge[-1] == self.full).all())
-
-    def all(self) -> bool:
-        return bool((self.words == self.full).all())
-
-    def count(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
-
-    def first_zero(self) -> int:
-        """C-order flat index of the first cell not set; the array must not be full."""
-        flat = self.words.reshape(-1)
-        w = int(np.flatnonzero(flat != self.full)[0])
-        x = int(flat[w])
-        return w * self.k ** min(self.axes, self.j) + (~x & (x + 1)).bit_length() - 1
-
-
 def solve_sumset(g: Digraph, group: Group) -> Verdict:
     """Boundary-sumset engine for a connected graph (loops are ignored).
 
@@ -910,7 +902,7 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
     joins: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # plain edges, by their later place
     for u, v in plain:
         joins[max(place[u], place[v])].append((u, v))
-    table = np.array([[group.add(a, b) for b in range(k)] for a in range(k)], dtype=np.intp)
+    table = _cayley(group)
     moves = [(table[:, group.neg(c)], table[:, c]) for c in range(k)]
     stats = {"boundaries_total": total, "edges_added": 0, "threads_contracted": len(contracted), "thread_branches": 0}
     reached = _Cells(k, 0, np.ones((), dtype=np.uint64))

@@ -207,6 +207,31 @@ def test_cli_search_bad_added(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "args, word",
+    [
+        (("--added", "3..1"), "added"),
+        (("--added", "0"), "added"),
+        (("--added", "1", "--max-witnesses", "-1"), "max_witnesses"),
+    ],
+)
+def test_cli_search_rejects_an_empty_search(capsys, tmp_path, args, word):
+    bases = tmp_path / "bases.g6"
+    bases.write_text(encode_graph6(complete_graph(4)) + "\n")
+    code, out, err = run(capsys, "search", "--bases", str(bases), "--groups", "z4,z2^2", *args)
+    assert code == EXIT_ERROR and out == ""
+    assert word in err and "witness(es)" not in err and "Traceback" not in err
+
+
+def test_cli_search_max_witnesses_zero_searches_nothing(capsys, tmp_path):
+    bases = tmp_path / "bases.g6"
+    bases.write_text(encode_graph6(complete_graph(4)) + "\n")
+    argv = ["search", "--bases", str(bases), "--added", "1", "--groups", "z4,z2^2", "--max-witnesses", "0"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_YES and out == ""
+    assert "0 witness(es)" in err
+
+
 def test_cli_search_refuses_foreign_checkpoint(capsys, tmp_path):
     bases = tmp_path / "bases.g6"
     bases.write_text(encode_graph6(complete_graph(4)) + "\n")

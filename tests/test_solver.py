@@ -244,15 +244,20 @@ def first_unavoidable_scalar(g, group, positions):
 
 
 def test_oracle_certificates_match_scalar_brute_force():
-    for g in small_connected_multigraphs():
+    # word layouts j = 6 (z2), 3 (z3, z4, z2^2) and 2 (z5, c:2,3); the two 4-cycles have
+    # certificates that change when read in reverse, so they pin the digit order
+    square = ((0, 1), (0, 2), (2, 3), (1, 3))
+    for g in itertools.chain(small_connected_multigraphs(), [Digraph(4, square), Digraph(4, square + ((0, 1),))]):
         core = [e for e, (u, v) in enumerate(g.edges) if u != v]
-        for group in (Z3, make_group([5]), make_group([2, 3])):
+        for group in (Z2, Z3, Z4, Z2xZ2, make_group([5]), make_group([2, 3])):
             want = first_unavoidable_scalar(g, group, core)
             assert solve_ultra_naive(g, group).certificate == want, (g, group.spec_string())
             if len(core) == g.m:
                 tree = spanning_structure(g).tree_edges
                 want = first_unavoidable_scalar(g, group, tree)
                 assert solve_naive(g, group).certificate == want, (g, group.spec_string())
+    # 12 enumerated edges against z2's 6 in-word places: the outer places are spread too
+    assert solve_ultra_naive(CUBE, Z2).certificate == first_unavoidable_scalar(CUBE, Z2, range(CUBE.m))
 
 
 def test_sumset_agrees_with_ultra_exhaustive():
