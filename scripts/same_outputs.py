@@ -13,6 +13,12 @@ multiset) and the ``decide`` verdict and certificate over z3, z4 and
 z2^2: with ``auto``, ``naive`` and ``ultra`` (``use_preprocessing=False``)
 on every graph, and with ``fast`` in both ``thread_opt`` modes on a
 340-graph slice.  An exception is recorded as an output by its type.
+On the cube subdivisions with 1 and 2 added vertices it also runs
+``cli.main(["test", ...])`` in-process over z3, z4 and z2^2, with the
+default ``auto`` and with ``--algo naive``, one parser reused across all
+calls, and records the exit code and the verdict's ``connected``,
+``algorithm``, ``certificate`` and ``preprocessing`` fields (not its
+timings).
 The two runs are compared item by item and the first item that differs
 is printed.
 
@@ -23,16 +29,22 @@ checkout fails to produce its outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 GROUPS = ("z3", "z4", "z2^2")
 RANDOM_GRAPHS = 1500
 FAST_RANDOM = 300  # the fast slice: this many random graphs, then the cube subdivisions
 FAST_CUBE = 40
+CLI_ADDED = (1, 2)  # cube subdivisions run through `groupconn test`
+CLI_ALGOS = ((), ("--algo", "naive"))
+CLI_FIELDS = ("connected", "algorithm", "certificate", "preprocessing")
 
 
 def random_corpus() -> list[tuple[int, tuple[tuple[int, int], ...]]]:
@@ -47,6 +59,7 @@ def random_corpus() -> list[tuple[int, tuple[tuple[int, int], ...]]]:
 def outputs(root: Path):
     """Yield (item name, JSON-ready output) for the corpus, run on checkout `root`."""
     sys.path.insert(0, str(root / "src"))
+    from groupconn import cli
     from groupconn.graphs import CUBE, Digraph, structure_report, subdivide, thread_profile
     from groupconn.groups import parse_group
     from groupconn.search import subdivision_multisets
@@ -89,6 +102,25 @@ def outputs(root: Path):
     def verdict(g, group, algorithm, thread_opt=True, use_preprocessing=True):
         v = decide(g, group, algorithm, use_preprocessing, thread_opt)
         return [v.connected, None if v.certificate is None else list(v.certificate)]
+
+    def cli_test(path, spec, algo):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["test", "--graph", path, "--group", spec, *algo])
+        if not out.getvalue():
+            return [code]
+        payload = json.loads(out.getvalue())
+        return [code] + [payload[key] for key in CLI_FIELDS]
+
+    cli_corpus = tuple(f"cube+{added} " for added in CLI_ADDED)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, g in corpus:
+            if name.startswith(cli_corpus):
+                path = str(Path(tmp) / "g.txt")
+                Path(path).write_text(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+                for spec in GROUPS:
+                    for algo in CLI_ALGOS:
+                        yield f"{name} cli test {spec} {' '.join(algo) or 'auto'}", cli_test(path, spec, algo)
 
     for name, g in corpus:
         yield f"{name} structure_report", guarded(report, g)

@@ -4,14 +4,20 @@ Subcommands: ``test`` (decide connectivity), ``nzflow`` (nowhere-zero
 flow existence), ``certify`` (check a NO-certificate), ``flows``
 (inspect the flow space), ``search`` (discrepancy search over
 subdivisions).  stdout carries machine-parseable JSON only; summaries go
-to stderr.  Exit codes: 0 = positive answer / clean completion, 1 =
-negative answer, 2 = any error (usage, input, or an internal failure).
-``test --algo auto`` leaves the engine choice to ``solver.decide``.
+to stderr.  ``test`` prints its verdict as one compact JSON line
+(``Verdict.to_json``), without echoing the input graph.  Exit codes: 0 =
+positive answer / clean completion, 1 = negative answer, 2 = any error
+(usage, input, or an internal failure).  ``test --algo auto`` leaves the
+engine choice to ``solver.decide``.
+
+The argument parser is built on the first ``main`` call and reused by
+every later call in the process; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -152,9 +158,14 @@ def cmd_search(args) -> int:
         resume=args.resume,
         max_witnesses=args.max_witnesses,
     )
-    out = open(args.output, "a") if args.output else sys.stdout
+    try:
+        out = open(args.output, "a") if args.output else sys.stdout
+    except OSError as exc:
+        raise CliError(f"cannot write output file: {exc}") from exc
     try:
         found = run_search(bases, group_a, group_b, cfg, out)
+    except OSError as exc:  # run_search reads nothing but the checkpoint, which raises ValueError
+        raise CliError(f"cannot write search output or checkpoint: {exc}") from exc
     finally:
         if args.output:
             out.close()
@@ -162,7 +173,9 @@ def cmd_search(args) -> int:
     return EXIT_YES
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``groupconn`` parser, built once per process."""
     p = argparse.ArgumentParser(prog="groupconn", description="group connectivity testing")
     sub = p.add_subparsers(dest="command", required=True)
 

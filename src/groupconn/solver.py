@@ -91,19 +91,24 @@ class Verdict:
     stats: dict = field(default_factory=dict)
     preprocessing: tuple[str, ...] = ()
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
+    def to_json(self) -> str:
+        """One compact JSON line without the input graph, which the caller has.
+
+        Each certificate entry still names its edge's tail and head, in the
+        graph's edge order.  Timings in ``stats`` are rounded to the
+        microsecond.
+        """
         payload = {
-            "graph": {"n": self.graph.n, "edges": [list(e) for e in self.graph.edges]},
             "group": self.group.spec_string(),
             "connected": self.connected,
             "certificate": None,
             "algorithm": self.algorithm,
-            "stats": self.stats,
+            "stats": {k: round(v, 6) if isinstance(v, float) else v for k, v in self.stats.items()},
             "preprocessing": list(self.preprocessing),
         }
         if self.certificate is not None:
             payload["certificate"] = certificate_entries(self.graph, self.group, self.certificate)
-        return json.dumps(payload, indent=indent)
+        return json.dumps(payload, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from groupconn import cli
 from groupconn.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from groupconn.flows import is_flow
-from groupconn.graphs import encode_graph6
+from groupconn.graphs import encode_graph6, parse_graph
 from groupconn.solver import decide
 from groupconn.groups import Z4
 
@@ -58,6 +58,51 @@ def test_cli_test_algo_and_no_preprocess(capsys, k4_file):
         capsys, "test", "--graph", k4_file, "--group", "z2^2", "--algo", "ultra", "--no-preprocess"
     )
     assert code in (EXIT_YES, EXIT_NO)
+
+
+VERDICT_KEYS = {"group", "connected", "certificate", "algorithm", "stats", "preprocessing"}
+
+
+def test_cli_test_prints_one_compact_verdict_line(capsys, k4_file, bridge_file):
+    for path in (k4_file, bridge_file):
+        code, out, _ = run(capsys, "test", "--graph", path, "--group", "z4")
+        assert code in (EXIT_YES, EXIT_NO)
+        assert out.endswith("\n") and out.count("\n") == 1
+        payload = json.loads(out)
+        assert payload.keys() == VERDICT_KEYS
+        assert payload["connected"] == (code == EXIT_YES)
+
+
+def test_cli_test_certify_round_trip_graph6(capsys, tmp_path):
+    # Petersen has no nowhere-zero 4-flow; graph6 parses its edges in another order than PETERSEN
+    pet = tmp_path / "petersen.g6"
+    pet.write_text(encode_graph6(PETERSEN) + "\n")
+    code, out, _ = run(capsys, "test", "--graph", str(pet), "--group", "z4")
+    assert code == EXIT_NO
+    g = parse_graph(pet.read_text(), "graph6")
+    assert g.edges != PETERSEN.edges
+    entries = json.loads(out)["certificate"]
+    assert [(c["tail"], c["head"]) for c in entries] == list(g.edges)
+    cert_path = tmp_path / "verdict.json"
+    cert_path.write_text(out)
+    code, out, _ = run(capsys, "certify", "--graph", str(pet), "--group", "z4", "--certificate", str(cert_path))
+    assert code == EXIT_YES and json.loads(out)["unsatisfiable"] is True
+
+
+def test_cli_reuses_one_parser_without_leaking_options(capsys, k4_file):
+    cli.build_parser.cache_clear()
+    code, out, _ = run(
+        capsys, "test", "--graph", k4_file, "--group", "z2^2", "--algo", "ultra", "--no-preprocess"
+    )
+    assert code in (EXIT_YES, EXIT_NO) and json.loads(out)["algorithm"] == "ultra-naive"
+    code, out, err = run(capsys, "test", "--graph", k4_file, "--group", "z4", "--algo", "bogus")
+    assert code == EXIT_ERROR and out == "" and "invalid choice" in err
+    code, out, _ = run(capsys, "test", "--graph", k4_file, "--group", "z4")
+    payload = json.loads(out)
+    assert payload["algorithm"] == "sumset" and payload["group"] == "z4"
+    assert payload["connected"] == (code == EXIT_YES)
+    info = cli.build_parser.cache_info()
+    assert info.misses == 1 and info.hits == 2
 
 
 def test_cli_test_formats(capsys, tmp_path, k4_file):
@@ -241,6 +286,16 @@ def test_cli_search_refuses_foreign_checkpoint(capsys, tmp_path):
     code, _, err = run(capsys, *argv, "--seed", "5", "--resume")
     assert code == EXIT_ERROR
     assert "different search configuration" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--output", "--checkpoint"])
+def test_cli_search_unwritable_path_is_exit_2(capsys, tmp_path, option):
+    bases = tmp_path / "bases.g6"
+    bases.write_text(encode_graph6(complete_graph(4)) + "\n")
+    target = str(tmp_path / "missing" / "file")
+    code, _, err = run(capsys, "search", "--bases", str(bases), "--added", "1", "--groups", "z4,z2^2", option, target)
+    assert code == EXIT_ERROR
+    assert "error: cannot write" in err and "Traceback" not in err
 
 
 def test_cli_search_resume_needs_checkpoint(capsys, tmp_path):

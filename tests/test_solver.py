@@ -607,12 +607,17 @@ def test_verdict_json_shape():
     import json
 
     v = decide(Digraph(2, ((0, 1),)), Z4)
-    payload = json.loads(v.to_json())
+    line = v.to_json()
+    assert "\n" not in line
+    payload = json.loads(line)
+    assert payload.keys() == {"group", "connected", "certificate", "algorithm", "stats", "preprocessing"}
     assert payload["connected"] is False
     assert payload["group"] == "z4"
     assert payload["certificate"][0].keys() == {"tail", "head", "forbidden"}
     y = decide(cycle_graph(3), Z4)
-    assert json.loads(y.to_json())["certificate"] is None
+    payload = json.loads(y.to_json())
+    assert payload["certificate"] is None
+    assert payload["stats"]["elapsed_total"] == round(y.stats["elapsed_total"], 6)
 
 
 def test_decide_rejects_bad_options():
