@@ -18,7 +18,9 @@ On the cube subdivisions with 1 and 2 added vertices it also runs
 default ``auto`` and with ``--algo naive``, one parser reused across all
 calls, and records the exit code and the verdict's ``connected``,
 ``algorithm``, ``certificate`` and ``preprocessing`` fields (not its
-timings).
+timings); and it records their ``decide`` (auto) verdict and certificate
+over the order-8 groups z8, c:2,4 and z2^3, whose automorphism groups
+(4, 8 and 168 elements) are the largest the sumset engine prunes by.
 The two runs are compared item by item and the first item that differs
 is printed.
 
@@ -39,6 +41,7 @@ import tempfile
 from pathlib import Path
 
 GROUPS = ("z3", "z4", "z2^2")
+ORDER8 = ("z8", "c:2,4", "z2^3")  # decided with auto on the CLI_ADDED cube subdivisions
 RANDOM_GRAPHS = 1500
 FAST_RANDOM = 300  # the fast slice: this many random graphs, then the cube subdivisions
 FAST_CUBE = 40
@@ -123,6 +126,9 @@ def outputs(root: Path):
                         yield f"{name} cli test {spec} {' '.join(algo) or 'auto'}", cli_test(path, spec, algo)
 
     for name, g in corpus:
+        if name.startswith(cli_corpus):
+            for spec in ORDER8:
+                yield f"{name} decide {spec} auto", guarded(verdict, g, parse_group(spec), "auto")
         yield f"{name} structure_report", guarded(report, g)
         yield f"{name} thread_profile", guarded(threads, g)
         for spec, group in zip(GROUPS, groups):

@@ -270,6 +270,38 @@ def _cayley(group: Group) -> np.ndarray:
     return table
 
 
+AUT_CANDIDATE_LIMIT = 4096
+
+
+@functools.lru_cache(maxsize=None)
+def _automorphisms(group: Group) -> tuple[tuple[int, ...], ...]:
+    """Automorphisms of the group, each a tuple of element indices: sigma[a].
+
+    An automorphism is fixed by the images of the cyclic factors'
+    generators, the i-th going to some x with f_i * x = 0; the candidates
+    that are bijections are kept.  When there are more than
+    AUT_CANDIDATE_LIMIT candidates (z2^4 and larger elementary groups),
+    only the identity and negation are returned: solve_sumset's pruning is
+    sound with any set of automorphisms.
+    """
+    k, add = group.order, _cayley(group)
+    multiples = np.zeros((k, max(group.factors) + 1), dtype=np.intp)  # [x, d] is d * x
+    for d in range(1, multiples.shape[1]):
+        multiples[:, d] = add[multiples[:, d - 1], np.arange(k)]
+    images = [[x for x in range(k) if multiples[x, f] == 0] for f in group.factors]
+    if math.prod(len(xs) for xs in images) > AUT_CANDIDATE_LIMIT:
+        return tuple(dict.fromkeys([tuple(range(k)), tuple(group.neg(a) for a in range(k))]))
+    digits = np.array([group.to_tuple(a) for a in range(k)], dtype=np.intp).T
+    out = []
+    for gens in itertools.product(*images):
+        sigma = np.zeros(k, dtype=np.intp)
+        for x, d in zip(gens, digits):
+            sigma = add[sigma, multiples[x, d]]
+        if len(set(sigma.tolist())) == k:
+            out.append(tuple(sigma.tolist()))
+    return tuple(out)
+
+
 def _flow_rows(
     g: Digraph, group: Group, s: SpanningStructure, values: Sequence[Sequence[int]], rows: int
 ) -> Iterator[np.ndarray]:
@@ -874,12 +906,17 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
     moves onto v.  So its inner vertices get no axes, and the thread is
     added last as an edge uv with values outside F, branching depth first
     over every F of 0 and L-1 distinct nonzero values (a thread from v to
-    v adds nothing and is dropped).  A full array is YES for its whole
-    subtree; the last thread is full for every F when each cell is hit by
-    at least L of its |G|-1 shifts.  At the first leaf that is not full,
-    the first unreached beta, lifted to g with partial sums -F, has a
-    tree mapping phi as its certificate: if a flow f avoided phi, phi - f
-    would be nowhere-zero with boundary beta.
+    v adds nothing and is dropped).  An automorphism sigma of G maps the
+    leaf for F1, F2, .. onto the leaf for sigma F1, sigma F2, .., so a
+    choice of F is skipped when an automorphism fixing the F chosen
+    before it maps it to a lexicographically smaller one: the first leaf
+    that is not full is the least of its orbit, so none of its prefixes is
+    skipped.  A full array is YES for its whole subtree; the last thread
+    is full for every F when each cell is hit by at least L of its |G|-1
+    shifts.  At the first leaf that is not full, the first unreached beta,
+    lifted to g with partial sums -F, has a tree mapping phi as its
+    certificate: if a flow f avoided phi, phi - f would be nowhere-zero
+    with boundary beta.
     """
     t0 = time.perf_counter()
     k = group.order
@@ -909,7 +946,13 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
         joins[max(place[u], place[v])].append((u, v))
     table = _cayley(group)
     moves = [(table[:, group.neg(c)], table[:, c]) for c in range(k)]
-    stats = {"boundaries_total": total, "edges_added": 0, "threads_contracted": len(contracted), "thread_branches": 0}
+    stats = {
+        "boundaries_total": total,
+        "edges_added": 0,
+        "threads_contracted": len(contracted),
+        "thread_branches": 0,
+        "symmetric_skips": 0,
+    }
     reached = _Cells(k, 0, np.ones((), dtype=np.uint64))
     for t in range(1, n):
         reached = reached.grown()
@@ -919,8 +962,11 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
             if t == n - 1 and reached.all():
                 break
 
-    def branch(i: int, arr: _Cells):
-        """The first leaf below arr that is not full, and the F chosen for threads i.., or None."""
+    def branch(i: int, arr: _Cells, auts: Sequence[tuple[int, ...]]):
+        """The first leaf below arr that is not full, and the F chosen for threads i.., or None.
+
+        auts are the automorphisms that fix the F chosen for threads ..i-1.
+        """
         if i == len(threads):
             return None if arr.all() else (arr, [])
         stats["thread_branches"] += 1
@@ -931,13 +977,18 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
         if i == len(threads) - 1 and arr.hit_by(moves[1:], ends, len(mid) + 1):
             return None
         for f in itertools.combinations(range(1, k), len(mid)):
+            images = [tuple(sorted(sigma[x] for x in f)) for sigma in auts]
+            if min(images) < f:
+                stats["symmetric_skips"] += 1
+                continue
             stats["edges_added"] += 1
-            found = branch(i + 1, arr.with_edge([moves[c] for c in range(1, k) if c not in f], ends))
+            fixing = [sigma for sigma, image in zip(auts, images) if image == f]
+            found = branch(i + 1, arr.with_edge([moves[c] for c in range(1, k) if c not in f], ends), fixing)
             if found:
                 return found[0], [f] + found[1]
         return None
 
-    found = branch(0, reached)
+    found = branch(0, reached, _automorphisms(group))
     if found is None:
         stats.update(boundaries_reached=total, elapsed=time.perf_counter() - t0)
         return Verdict(g, group, True, None, "sumset", stats)

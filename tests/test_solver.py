@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import time
 
 import numpy as np
 import pytest
@@ -403,6 +404,77 @@ def test_sumset_rechecks_its_certificates(monkeypatch):
     for g in (PETERSEN, subdivide(PETERSEN, 0)):
         with pytest.raises(AssertionError, match="sumset engine"):
             solve_sumset(g, Z4)
+
+
+# -- automorphism pruning of the thread branches -------------------------------
+
+AUT_COUNTS = {"z3": 2, "z4": 2, "z2^2": 6, "z5": 4, "z6": 2, "z7": 6, "z8": 4, "c:2,4": 8, "z2^3": 168}
+
+
+def test_automorphisms_of_the_small_groups():
+    for spec, count in AUT_COUNTS.items():
+        group = parse_group(spec)
+        k, add = group.order, solver._cayley(group)
+        auts = solver._automorphisms(group)
+        assert len(auts) == len(set(auts)) == count, spec
+        assert tuple(range(k)) in auts, spec
+        for sigma in auts:
+            assert sorted(sigma) == list(range(k)) and sigma[0] == 0, (spec, sigma)
+            for a, b in itertools.product(range(k), repeat=2):
+                assert sigma[add[a, b]] == add[sigma[a], sigma[b]], (spec, sigma, a, b)
+
+
+def test_automorphisms_of_large_groups_return_quickly():
+    for spec, count in (("z64", 32), ("z2^6", 1)):  # z2^6 has 64^6 candidates: only identity (= negation)
+        group = parse_group(spec)
+        solver._automorphisms.cache_clear()
+        t0 = time.perf_counter()
+        auts = solver._automorphisms(group)
+        assert time.perf_counter() - t0 < 1.0, spec
+        assert len(auts) == count and tuple(range(group.order)) in auts, spec
+
+
+def subdivided(g, counts):
+    for e, c in enumerate(counts):
+        if c:
+            g = subdivide(g, e, c)
+    return g
+
+
+def test_automorphism_pruning_keeps_verdicts_and_certificates(monkeypatch):
+    # thread-heavy graphs with a NO for each of the orders 3, 4, 5 and 8;
+    # K4's edge order is 01 02 03 12 13 23, and the order-8 NOs on K4 skip
+    # branches before their certificate is found
+    k4 = complete_graph(4)
+    prism5_sub3 = subdivided(PRISM5, [1 if e in (0, 6, 12) else 0 for e in range(PRISM5.m)])
+    petersen_sub3 = subdivided(PETERSEN, [1 if e in (0, 6, 12) else 0 for e in range(PETERSEN.m)])
+    cases = [
+        (subdivided(CUBE, [1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0]), ("z3",)),
+        (subdivided(CUBE, [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]), ("z4", "z2^2")),  # a cube+3 witness
+        (prism5_sub3, ("z4", "z2^2", "z5", "z2^3")),
+        (petersen_sub3, ("z4", "z2^2")),
+        (subdivided(k4, [0, 1, 1, 0, 1, 0]), ("z4", "z2^2")),
+        (subdivided(k4, [2, 2, 2, 0, 2, 2]), ("z4", "z2^2")),
+        (subdivided(k4, [0, 2, 0, 1, 1, 1]), ("z5",)),
+        (subdivided(k4, [1, 3, 2, 3, 3, 1]), ("z5",)),
+        (subdivided(k4, [2, 2, 0, 0, 0, 2]), ("z8", "c:2,4", "z2^3")),
+        (subdivided(k4, [4, 4, 3, 0, 0, 3]), ("z8", "c:2,4")),
+        (subdivided(k4, [5, 5, 1, 0, 6, 2]), ("z2^3",)),
+    ]
+    runs = [(g, parse_group(spec)) for g, specs in cases for spec in specs]
+    pruned = [solve_sumset(g, group) for g, group in runs]
+    monkeypatch.setattr(solver, "_automorphisms", lambda group: (tuple(range(group.order)),))
+    for (g, group), v in zip(runs, pruned):
+        w = solve_sumset(g, group)
+        assert (v.connected, v.certificate) == (w.connected, w.certificate), (g, group.spec_string())
+        assert v.stats["boundaries_reached"] == w.stats["boundaries_reached"]
+        assert v.stats["thread_branches"] <= w.stats["thread_branches"]
+        assert w.stats["symmetric_skips"] == 0
+        check_sumset_no(v)
+        if g is prism5_sub3 and group.spec_string() in ("z2^2", "z2^3"):
+            assert v.stats["thread_branches"] < w.stats["thread_branches"], group.spec_string()
+    assert {group.order for (_, group), v in zip(runs, pruned) if not v.connected} == {3, 4, 5, 8}
+    assert any(not v.connected and v.stats["symmetric_skips"] for v in pruned)
 
 
 # -- the packed boundary array -------------------------------------------------
