@@ -94,7 +94,6 @@ def outputs(root: Path):
         return [
             [[t.edge_ids, t.signs, t.tail_anchor, t.head_anchor] for t in p.threads],
             [[c.edge_ids, c.signs] for c in p.cycle_components],
-            p.suppressed.edges,
         ]
 
     def reduced(g, group):

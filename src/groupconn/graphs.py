@@ -7,6 +7,7 @@ smaller to the larger endpoint, which keeps certificates reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -202,13 +203,15 @@ class Thread:
     """A maximal path whose internal vertices have degree 2.
 
     edge_ids follow the traversal from tail_anchor to head_anchor; sign is
-    +1 where the stored edge orientation agrees with the traversal.
+    +1 where the stored edge orientation agrees with the traversal.  inner
+    holds the degree-2 vertices in traversal order, one fewer than the edges.
     """
 
     edge_ids: tuple[int, ...]
     signs: tuple[int, ...]
     tail_anchor: int
     head_anchor: int
+    inner: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.edge_ids)
@@ -229,16 +232,15 @@ class CycleComponent:
 class ThreadProfile:
     threads: tuple[Thread, ...]
     cycle_components: tuple[CycleComponent, ...]
-    suppressed: Digraph
 
 
+@functools.lru_cache(maxsize=8)
 def thread_profile(g: Digraph) -> ThreadProfile:
     """Decompose a loop-free graph into threads and pure-cycle components.
 
     Threads run between anchor vertices (degree != 2), traversed from the
-    lower-numbered anchor, ties broken by lowest first-edge id.  The
-    suppressed multigraph keeps the original vertex set and has one edge
-    per thread, oriented along the traversal.
+    lower-numbered anchor, ties broken by lowest first-edge id.  Memoized by
+    graph value, so callers share one immutable result (it holds only tuples).
     """
     if any(u == v for u, v in g.edges):
         raise ValueError("thread_profile requires a loop-free graph")
@@ -246,10 +248,10 @@ def thread_profile(g: Digraph) -> ThreadProfile:
     inc = g.incidence()  # each list is in edge-id order
     used = [False] * g.m
 
-    def walk(start: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """(edge ids, signs, end) of the walk from `start` along e through
-        degree-2 vertices, up to a vertex of degree != 2 or back to `start`."""
-        edge_ids, signs = [], []
+    def walk(start: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+        """(edge ids, signs, inner vertices, end) of the walk from `start` along
+        e through degree-2 vertices, up to a vertex of degree != 2 or back to `start`."""
+        edge_ids, signs, inner = [], [], []
         cur = start
         while True:
             used[e] = True
@@ -258,7 +260,8 @@ def thread_profile(g: Digraph) -> ThreadProfile:
             edge_ids.append(e)
             cur = w if u == cur else u
             if deg[cur] != 2 or cur == start:
-                return tuple(edge_ids), tuple(signs), cur
+                return tuple(edge_ids), tuple(signs), tuple(inner), cur
+            inner.append(cur)
             e1, e2 = inc[cur]
             e = e2 if e1 == e else e1
 
@@ -269,19 +272,18 @@ def thread_profile(g: Digraph) -> ThreadProfile:
         if deg[a] != 2:
             for e in inc[a]:
                 if not used[e]:
-                    edge_ids, signs, end = walk(a, e)
-                    threads.append(Thread(edge_ids, signs, a, end))
+                    edge_ids, signs, inner, end = walk(a, e)
+                    threads.append(Thread(edge_ids, signs, a, end, inner))
 
     # The unused edges form components whose vertices all have degree 2;
     # a degree-2 vertex has both of its edges used or neither.
     cycles: list[CycleComponent] = []
     for v in range(g.n):
         if deg[v] == 2 and not used[inc[v][0]]:
-            edge_ids, signs, _ = walk(v, inc[v][0])
+            edge_ids, signs, _, _ = walk(v, inc[v][0])
             cycles.append(CycleComponent(edge_ids, signs))
 
-    suppressed = Digraph(g.n, tuple((t.tail_anchor, t.head_anchor) for t in threads))
-    return ThreadProfile(tuple(threads), tuple(cycles), suppressed)
+    return ThreadProfile(tuple(threads), tuple(cycles))
 
 
 def structure_report(g: Digraph) -> tuple[set[int], list[list[int]], set[int]]:

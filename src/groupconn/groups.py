@@ -118,8 +118,11 @@ def parse_group(spec: str) -> Group:
     if s.startswith("z"):
         body = s[1:]
         if "^" in body:
-            base, _, exp = body.partition("^")
-            return make_group([int(base)] * int(exp))
+            # 7 factors of 2 or more exceed MAX_ORDER: refuse before listing a huge exponent's factors
+            base, exp = (int(x) for x in body.split("^", 1))
+            if base >= 2 and exp >= MAX_ORDER.bit_length():
+                raise ValueError(f"group order {base}^{exp} exceeds supported maximum {MAX_ORDER}")
+            return make_group([base] * min(exp, MAX_ORDER.bit_length()))  # a base below 2 fails at any count
         return make_group([int(body)])
     raise ValueError(f"unrecognized group spec {spec!r}")
 

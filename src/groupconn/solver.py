@@ -906,32 +906,26 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
     moves onto v.  So its inner vertices get no axes, and the thread is
     added last as an edge uv with values outside F, branching depth first
     over every F of 0 and L-1 distinct nonzero values (a thread from v to
-    v adds nothing and is dropped).  An automorphism sigma of G maps the
-    leaf for F1, F2, .. onto the leaf for sigma F1, sigma F2, .., so a
-    choice of F is skipped when an automorphism fixing the F chosen
-    before it maps it to a lexicographically smaller one: the first leaf
-    that is not full is the least of its orbit, so none of its prefixes is
-    skipped.  A full array is YES for its whole subtree; the last thread
-    is full for every F when each cell is hit by at least L of its |G|-1
-    shifts.  At the first leaf that is not full, the first unreached beta,
-    lifted to g with partial sums -F, has a tree mapping phi as its
-    certificate: if a flow f avoided phi, phi - f would be nowhere-zero
-    with boundary beta.
+    v adds nothing and is dropped).  The threads and their inner vertices
+    come from the memoized thread_profile, so preprocess and this engine
+    share one thread walk.  An automorphism sigma of G maps the leaf for
+    F1, F2, .. onto the leaf for sigma F1, sigma F2, .., so a choice of F
+    is skipped when an automorphism fixing the F chosen before it maps it
+    to a lexicographically smaller one: the first leaf that is not full is
+    the least of its orbit, so none of its prefixes is skipped.  A full
+    array is YES for its whole subtree; the last thread is full for every
+    F when each cell is hit by at least L of its |G|-1 shifts.  At the
+    first leaf that is not full, the first unreached beta, lifted to g
+    with partial sums -F, has a tree mapping phi as its certificate: if a
+    flow f avoided phi, phi - f would be nowhere-zero with boundary beta.
     """
     t0 = time.perf_counter()
     k = group.order
     _, core = _without_loops(g)
-    inner: set[int] = set()
-    threads = []  # (u, v, inner vertices) of the contracted threads that are not loops
     contracted = [t for t in thread_profile(core).threads if 2 <= len(t) <= k - 1]
-    for t in contracted:
-        walk = [t.tail_anchor]
-        for e in t.edge_ids[:-1]:
-            u, v = core.edges[e]
-            walk.append(v if u == walk[-1] else u)
-        inner.update(walk[1:])
-        if t.tail_anchor != t.head_anchor:
-            threads.append((t.tail_anchor, t.head_anchor, walk[1:]))
+    inner = {x for t in contracted for x in t.inner}
+    # (u, v, inner vertices) of the contracted threads that are not loops
+    threads = [(t.tail_anchor, t.head_anchor, t.inner) for t in contracted if t.tail_anchor != t.head_anchor]
     plain = [(u, v) for u, v in core.edges if u not in inner and v not in inner]
     keep = [x for x in range(g.n) if x not in inner]
     local = {x: i for i, x in enumerate(keep)}

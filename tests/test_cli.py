@@ -117,6 +117,8 @@ def test_cli_test_formats(capsys, tmp_path, k4_file):
 def test_cli_errors(capsys, tmp_path, k4_file):
     assert run(capsys, "test", "--graph", "/nonexistent", "--group", "z4")[0] == EXIT_ERROR
     assert run(capsys, "test", "--graph", k4_file, "--group", "z9^9")[0] == EXIT_ERROR
+    code, _, err = run(capsys, "test", "--graph", k4_file, "--group", "z2^1000000000000")
+    assert code == EXIT_ERROR and "Traceback" not in err
     bad = tmp_path / "bad.g6"
     bad.write_text("!!!\n")
     assert run(capsys, "test", "--graph", str(bad), "--group", "z4")[0] == EXIT_ERROR

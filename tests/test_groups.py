@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +30,12 @@ def test_make_group_rejects_bad_factors():
 def test_order_cap():
     with pytest.raises(ValueError):
         make_group([65])
+    # a huge exponent is refused before its factor list is built
+    for spec in ("z2^1000000", "z2^1000000000000"):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="maximum 64"):
+            parse_group(spec)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_add_examples():

@@ -603,6 +603,16 @@ def test_auto_checks_the_sumset_limit_per_reduced_component(monkeypatch):
     assert (v.connected, v.certificate) == (want.connected, want.certificate)
 
 
+def test_decides_of_one_graph_share_one_thread_walk():
+    # preprocess's last round and the sumset engine walk the same core, for both groups
+    thread_profile.cache_clear()
+    g = subdivide(CUBE, 0)
+    for group in (Z4, Z2xZ2):
+        decide(g, group)
+    info = thread_profile.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 # -- known verdicts ----------------------------------------------------------
 
 
