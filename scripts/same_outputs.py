@@ -12,7 +12,11 @@ the 3-cube with 1 to 3 added vertices.  For each graph it records
 multiset) and the ``decide`` verdict and certificate over z3, z4 and
 z2^2: with ``auto``, ``naive`` and ``ultra`` (``use_preprocessing=False``)
 on every graph, and with ``fast`` in both ``thread_opt`` modes on a
-340-graph slice.  An exception is recorded as an output by its type.
+340-graph slice.  Over the same groups it records the first avoiding
+flow ``avoiding_flow`` finds for the zero mapping (the flow ``nzflow``
+prints) and for one random mapping seeded by the graph's name: it pins
+the order of the flow rows, which no verdict shows.  An exception is
+recorded as an output by its type.
 On the cube subdivisions with 1 and 2 added vertices it also runs
 ``cli.main(["test", ...])`` in-process over z3, z4 and z2^2, with the
 default ``auto`` and with ``--algo naive``, one parser reused across all
@@ -66,7 +70,7 @@ def outputs(root: Path):
     from groupconn.graphs import CUBE, Digraph, structure_report, subdivide, thread_profile
     from groupconn.groups import parse_group
     from groupconn.search import subdivision_multisets
-    from groupconn.solver import decide, preprocess
+    from groupconn.solver import avoiding_flow, decide, preprocess
 
     corpus = [(f"random {i}", Digraph(n, edges)) for i, (n, edges) in enumerate(random_corpus())]
     for added in (1, 2, 3):
@@ -130,7 +134,11 @@ def outputs(root: Path):
                 yield f"{name} decide {spec} auto", guarded(verdict, g, parse_group(spec), "auto")
         yield f"{name} structure_report", guarded(report, g)
         yield f"{name} thread_profile", guarded(threads, g)
+        rng = random.Random(name)
         for spec, group in zip(GROUPS, groups):
+            h = tuple(rng.randrange(group.order) for _ in range(g.m))
+            yield f"{name} avoiding_flow {spec} zero", guarded(avoiding_flow, g, group, (0,) * g.m)
+            yield f"{name} avoiding_flow {spec} random", guarded(avoiding_flow, g, group, h)
             yield f"{name} preprocess {spec}", guarded(reduced, g, group)
             yield f"{name} decide {spec} auto", guarded(verdict, g, group, "auto")
             yield f"{name} decide {spec} naive", guarded(verdict, g, group, "naive")

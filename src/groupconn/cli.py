@@ -26,7 +26,7 @@ from .flows import all_flows, spanning_structure
 from .graphs import Digraph, GraphParseError, parse_graph
 from .groups import Group, parse_group
 from .search import SearchConfig, load_bases, run_search
-from .solver import avoiding_flow, decide
+from .solver import ALGORITHMS, avoiding_flow, decide
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("test", help="decide group connectivity")
     add_graph_args(sp)
-    sp.add_argument("--algo", choices=["auto", "sumset", "fast", "naive", "ultra"], default="auto")
+    sp.add_argument("--algo", choices=ALGORITHMS, default="auto")
     sp.add_argument("--no-preprocess", action="store_true", help="ultra-naive only")
     sp.set_defaults(func=cmd_test)
 

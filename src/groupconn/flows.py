@@ -41,7 +41,10 @@ def spanning_structure(g: Digraph, edge_order: Optional[Sequence[int]] = None) -
     """Deterministic spanning forest, grown lowest-edge-id-first by default.
 
     edge_order overrides the growth priority (used by the class machinery
-    to keep thread edges inside the tree).
+    to keep thread edges inside the tree).  Each fundamental cycle is its
+    non-tree edge, then the tree path from that edge's head to its tail,
+    found by climbing parent pointers from one rooted traversal of the
+    forest.
     """
     order = list(edge_order) if edge_order is not None else list(range(g.m))
     parent = list(range(g.n))
@@ -63,44 +66,42 @@ def spanning_structure(g: Digraph, edge_order: Optional[Sequence[int]] = None) -
             components -= 1
     tree_edges = tuple(e for e in range(g.m) if in_tree[e])
 
-    # Tree adjacency for path finding.
+    # Root every tree: up[x] is x's parent edge (-1 at a root), depth[x] its distance from the root.
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # (neighbor, edge id)
     for e in tree_edges:
         u, v = g.edges[e]
         adj[u].append((v, e))
         adj[v].append((u, e))
+    up, depth = [-1] * g.n, [-1] * g.n
+    for root in range(g.n):
+        if depth[root] < 0:
+            depth[root], stack = 0, [root]
+            while stack:
+                x = stack.pop()
+                for y, e in adj[x]:
+                    if depth[y] < 0:
+                        up[y], depth[y] = e, depth[x] + 1
+                        stack.append(y)
 
-    def tree_path(src: int, dst: int) -> list[tuple[int, int]]:
-        """Signed tree edges along the path src -> dst."""
-        if src == dst:
-            return []
-        prev: dict[int, tuple[int, int]] = {src: (-1, -1)}
-        queue = [src]
-        while queue:
-            x = queue.pop(0)
-            if x == dst:
-                break
-            for y, e in adj[x]:
-                if y not in prev:
-                    prev[y] = (x, e)
-                    queue.append(y)
-        path = []
-        cur = dst
-        while cur != src:
-            x, e = prev[cur]
-            eu, ev = g.edges[e]
-            path.append((e, 1 if (eu, ev) == (x, cur) else -1))
-            cur = x
-        path.reverse()
-        return path
+    def climb(x: int) -> tuple[int, int, int]:
+        """x's parent, x's parent edge, and the sign of crossing it from x."""
+        e = up[x]
+        eu, ev = g.edges[e]
+        return (ev, e, 1) if eu == x else (eu, e, -1)
 
     nontree = tuple(e for e in range(g.m) if not in_tree[e])
     cycles = []
     for e in nontree:
-        u, v = g.edges[e]
-        cyc = [(e, 1)]
-        cyc.extend(tree_path(v, u))  # close the cycle back to the tail
-        cycles.append(tuple(cyc))
+        y, x = g.edges[e]  # close the cycle from the head x back to the tail y
+        rise, fall = [], []  # signed edges up from x, and up from y with the downward sign
+        while x != y:
+            if depth[x] >= depth[y]:
+                x, f, sign = climb(x)
+                rise.append((f, sign))
+            else:
+                y, f, sign = climb(y)
+                fall.append((f, -sign))
+        cycles.append(((e, 1), *rise, *reversed(fall)))
     return SpanningStructure(tree_edges, nontree, tuple(cycles), components)
 
 

@@ -24,14 +24,15 @@ Four engines share the same contract:
 
 The first two share one flow-check kernel and differ only in the edges
 whose values they enumerate: every edge, or the edges of a spanning
-tree.  The kernel builds the flows as rows of element indices and marks
-the mappings they avoid in a bit array, one bit per mapping: the
-``_Cells`` array that also holds the sumset's boundaries, in which the
-mappings a flow avoids are its own cell spread along every axis by the
-nonzero moves.  ``avoiding_flow`` (behind ``verify_certificate``) scans
-the same flow rows against a single mapping.  Only ``solve_fast`` packs
-group elements into bit lanes.  The first three engines are kept as
-reference oracles.
+tree.  The kernel builds the flows as rows of element indices, reading
+each fundamental cycle's values from one signed cycle matrix and adding
+them through the Cayley table, and marks the mappings they avoid in a
+bit array, one bit per mapping: the ``_Cells`` array that also holds the
+sumset's boundaries, in which the mappings a flow avoids are its own
+cell spread along every axis by the nonzero moves.  ``avoiding_flow``
+(behind ``verify_certificate``) scans the same flow rows against a
+single mapping.  Only ``solve_fast`` packs group elements into bit
+lanes.  The first three engines are kept as reference oracles.
 
 ``preprocess`` shrinks an instance with always-sound reductions (loops,
 bridges, short cycles, long threads) and knows how to lift certificates
@@ -54,7 +55,7 @@ import numpy as np
 
 from ._pack import Packer
 from .classes import ClassFunction
-from .flows import EdgeVector, SpanningStructure, flow_from_nontree, spanning_structure
+from .flows import EdgeVector, SpanningStructure, spanning_structure
 from .graphs import CycleComponent, Digraph, Thread, structure_report, thread_profile
 from .groups import Group
 
@@ -63,6 +64,7 @@ NAIVE_KEY_LIMIT = 2**28  # cap on tree-representative enumeration (one bit per m
 FAST_TABLE_LIMIT = 2**28  # cap on the class-marking table (one byte per key)
 SUMSET_LIMIT = 2**28  # cap on the boundary array (one bit per boundary, threads contracted)
 CHUNK = 1 << 21  # vectorized enumeration chunk size
+ALGORITHMS = ("auto", "sumset", "fast", "naive", "ultra")  # the names decide accepts
 
 PackedCols = tuple  # one numpy uint64 array per group factor
 
@@ -302,6 +304,15 @@ def _automorphisms(group: Group) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _signed(group: Group) -> np.ndarray:
+    """Signed multiples as intp element indices: rows 0, 1 and -1 hold 0, a and -a at [., a] (read-only)."""
+    k = group.order
+    table = np.array([[0] * k, range(k), [group.neg(a) for a in range(k)]], dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
 def _flow_rows(
     g: Digraph, group: Group, s: SpanningStructure, values: Sequence[Sequence[int]], rows: int
 ) -> Iterator[np.ndarray]:
@@ -310,31 +321,32 @@ def _flow_rows(
     Each flow is a uint8 row of element indices, one per edge; the rows
     come in the lexicographic order of their non-tree values (as in
     ``flows.iter_flows``), in chunks of at most ``rows`` (but at least one).
-    The sums of the trailing non-tree coordinates are built once, and a
-    chunk adds one combination of the leading ones to all of them, through
-    the group's Cayley table.
+    Fundamental cycle c with value a is a lookup: row c of the signed cycle
+    matrix picks 0, a or -a per edge from ``_signed``.  The sums of the
+    trailing non-tree coordinates are built once, and a chunk adds one
+    combination of the leading ones to all of them, each sum one ``take``
+    from the flattened Cayley table with the left operand premultiplied
+    by |G| (in intp: k * a + b reaches 4,095 at order 64).
     """
-    m = g.m
-    add = _cayley(group)
-    tables = [
-        np.array(
-            [flow_from_nontree(g, group, s, [a if i == c else 0 for i in range(s.rank)]) for a in vals],
-            dtype=np.uint8,
-        )
-        for c, vals in enumerate(values)
-    ]
+    k, m = group.order, g.m
+    add = _cayley(group).reshape(-1)  # add[k * a + b] is a + b
+    at = np.array([(c, e, sign) for c, cyc in enumerate(s.cycles) for e, sign in cyc], dtype=np.intp).reshape(-1, 3)
+    signs = np.zeros((s.rank, m), dtype=np.int8)  # the signed cycle matrix
+    signs[at[:, 0], at[:, 1]] = at[:, 2]
+    signed = _signed(group)
+    tables = [k * signed[signs[c], np.asarray(vals, dtype=np.intp)[:, None]] for c, vals in enumerate(values)]
     split, low = len(tables), 1
     while split and low * len(tables[split - 1]) <= rows:
         split -= 1
         low *= len(tables[split])
     sums = np.zeros((1, m), dtype=np.uint8)
     for t in reversed(tables[split:]):
-        sums = add[t[:, None, :], sums[None, :, :]].reshape(-1, m)
+        sums = add.take(t[:, None, :] + sums).reshape(-1, m)
     for digits in itertools.product(*(range(len(t)) for t in tables[:split])):
         lead = np.zeros(m, dtype=np.uint8)
         for t, d in zip(tables, digits):
-            lead = add[lead, t[d]]
-        yield add[lead, sums]
+            lead = add.take(t[d] + lead)
+        yield add.take(k * lead.astype(np.intp) + sums)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1035,6 +1047,8 @@ def decide(
     validated against).  Component stats are summed.
     """
     t0 = time.perf_counter()
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == "auto":
         algorithm = "sumset" if use_preprocessing else "ultra"
     if not use_preprocessing:
@@ -1064,10 +1078,8 @@ def decide(
             v = solve_naive(comp.graph, group)
         elif algorithm == "fast":
             v = solve_fast(comp.graph, group, thread_opt=thread_opt)
-        elif algorithm == "sumset":
-            v = solve_sumset(comp.graph, group)
         else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
+            v = solve_sumset(comp.graph, group)
         for key, val in v.stats.items():
             stats[key] = stats.get(key, 0) + val
         if not v.connected:

@@ -176,3 +176,60 @@ def test_random_flows_satisfy_kirchhoff(seed):
     for group in (Z4, Z2xZ2):
         for f in itertools.islice(iter_flows(g, group), 20):
             assert is_flow(g, group, f)
+
+
+def _reference_structure(g: Digraph, order) -> tuple:
+    """The spanning structure by a BFS tree path per non-tree edge: a slow reference, written out."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    in_tree = [False] * g.m
+    for e in range(g.m) if order is None else order:
+        ru, rv = find(g.edges[e][0]), find(g.edges[e][1])
+        if ru != rv:
+            parent[ru], in_tree[e] = rv, True
+    adj = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        if in_tree[e]:
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+    cycles = []
+    for e in (e for e in range(g.m) if not in_tree[e]):
+        src, dst = g.edges[e][1], g.edges[e][0]
+        prev, queue = {src: None}, [src]
+        for x in queue:
+            for y, f in adj[x]:
+                if y not in prev:
+                    prev[y] = (x, f)
+                    queue.append(y)
+        path, cur = [], dst
+        while cur != src:
+            x, f = prev[cur]
+            path.append((f, 1 if g.edges[f] == (x, cur) else -1))
+            cur = x
+        cycles.append(((e, 1), *reversed(path)))
+    tree = tuple(e for e in range(g.m) if in_tree[e])
+    nontree = tuple(e for e in range(g.m) if not in_tree[e])
+    return tree, nontree, len({find(x) for x in range(g.n)}), tuple(cycles)
+
+
+@st.composite
+def _multigraphs_with_orders(draw):
+    # few vertices and many edges: loops, parallel edges and several components all come up
+    n = draw(st.integers(1, 8))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14))
+    return Digraph(n, tuple(edges)), draw(st.permutations(range(len(edges))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multigraphs_with_orders())
+def test_spanning_structure_matches_bfs_reference(case):
+    # certificates and the first avoiding flow depend on the exact edge order of every cycle
+    g, order = case
+    for edge_order in (None, order):
+        s = spanning_structure(g, edge_order)
+        assert (s.tree_edges, s.nontree_edges, s.components, s.cycles) == _reference_structure(g, edge_order)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from groupconn import solver
-from groupconn.flows import find_satisfying_flow, spanning_structure
+from groupconn.flows import find_satisfying_flow, iter_flows, spanning_structure
 from groupconn.graphs import Digraph, structure_report, subdivide, thread_profile
 from groupconn.groups import Z2, Z3, Z4, Z2xZ2, make_group, parse_group
 from groupconn.search import enumerate_subdivisions
@@ -35,6 +35,7 @@ from conftest import (
     random_connected_loopfree,
 )
 
+PACKED_GROUPS = ["z2", "z3", "z4", "z2^2", "z5", "z6", "z7", "z8", "c:2,4", "z2^3", "z64"]
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "..", "data", "witness_z22_yes_z4_no.json")
 
 # the pentagonal prism: two 5-cycles joined by a matching
@@ -155,14 +156,36 @@ def test_certificate_check_gives_up_past_its_limit(monkeypatch):
     assert not verify_certificate(g, Z4, (1,) * g.m)
 
 
-def test_verify_certificate_matches_flow_search():
-    rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randint(2, 5); g = random_connected_loopfree(rng, n, rng.randint(n, 7))
-        h = tuple(rng.randrange(4) for _ in range(g.m))
-        from groupconn.flows import find_satisfying_flow
+@pytest.mark.parametrize("spec", PACKED_GROUPS)
+def test_verify_certificate_matches_flow_search(spec):
+    # the first avoiding flow, not just whether there is one: `certify` and `nzflow` print it
+    group = parse_group(spec)
+    k = group.order
+    rng = random.Random(k)
+    graphs = [THETA] if k > 16 else [THETA, complete_graph(4)]
+    for _ in range(0 if k > 4 else 20):
+        n = rng.randint(2, 5)
+        g = random_connected_loopfree(rng, n, rng.randint(n, 7))
+        if k ** spanning_structure(g).rank <= 4096:  # small enough for the scalar search
+            graphs.append(g)
+    for g in graphs:
+        for h in [(0,) * g.m] + [tuple(rng.randrange(k) for _ in range(g.m)) for _ in range(15)]:
+            assert solver.avoiding_flow(g, group, h) == find_satisfying_flow(g, group, h)
 
-        assert verify_certificate(g, Z4, h) == (find_satisfying_flow(g, Z4, h) is None)
+
+@pytest.mark.parametrize("spec", ["z3", "z4", "z2^2", "c:2,4", "z64"])
+def test_flow_rows_chunks_concatenate_to_one_pass(spec):
+    group = parse_group(spec)
+    k = group.order
+    rng = random.Random(k)
+    for g in [THETA] if k == 64 else [THETA, complete_graph(4), PETERSEN]:
+        s = spanning_structure(g)
+        values = [sorted(rng.sample(range(k), rng.randint(1, min(k, 4)))) for _ in range(s.rank)]
+        expected = [list(f) for f in iter_flows(g, group, s) if all(f[e] in v for e, v in zip(s.nontree_edges, values))]
+        for rows in (1, 5, 7, 10**6):
+            chunks = list(solver._flow_rows(g, group, s, values, rows))
+            assert all(c.dtype == np.uint8 and 1 <= len(c) <= rows for c in chunks)
+            assert np.concatenate(chunks).tolist() == expected
 
 
 def test_no_verdicts_carry_valid_certificates():
@@ -479,8 +502,6 @@ def test_automorphism_pruning_keeps_verdicts_and_certificates(monkeypatch):
 
 # -- the packed boundary array -------------------------------------------------
 
-PACKED_GROUPS = ["z2", "z3", "z4", "z2^2", "z5", "z6", "z7", "z8", "c:2,4", "z2^3", "z64"]
-
 
 def pack_cells(k: int, arr: np.ndarray) -> solver._Cells:
     """The packed form of a bool array of shape (k,) * arr.ndim."""
@@ -707,3 +728,10 @@ def test_decide_rejects_bad_options():
         decide(cycle_graph(3), Z4, algorithm="fast", use_preprocessing=False)
     with pytest.raises(ValueError):
         decide(complete_graph(4), Z4, algorithm="nope")
+
+
+def test_decide_rejects_unknown_algorithm_before_preprocessing():
+    # preprocessing settles both graphs (a bridge: NO; a single vertex: YES), so no engine runs
+    for g in (Digraph(2, ((0, 1),)), Digraph(1, ())):
+        with pytest.raises(ValueError, match="'bogus'"):
+            decide(g, Z4, "bogus")
