@@ -25,6 +25,10 @@ calls, and records the exit code and the verdict's ``connected``,
 timings); and it records their ``decide`` (auto) verdict and certificate
 over the order-8 groups z8, c:2,4 and z2^3, whose automorphism groups
 (4, 8 and 168 elements) are the largest the sumset engine prunes by.
+Last, it records the ``decide`` (auto) verdict and certificate over z4
+and z2^2 of a census slice: the first 200 tasks of the seed-7,
+distinct-edge, added = 3 search of ``data/cubic12_all.g6``, whose
+boundary arrays (4^11 cells) and head patterns the cube corpus lacks.
 The two runs are compared item by item and the first item that differs
 is printed.
 
@@ -52,6 +56,9 @@ FAST_CUBE = 40
 CLI_ADDED = (1, 2)  # cube subdivisions run through `groupconn test`
 CLI_ALGOS = ((), ("--algo", "naive"))
 CLI_FIELDS = ("connected", "algorithm", "certificate", "preprocessing")
+CENSUS_BASES = Path("data") / "cubic12_all.g6"
+CENSUS_TASKS = 200
+CENSUS_GROUPS = ("z4", "z2^2")
 
 
 def random_corpus() -> list[tuple[int, tuple[tuple[int, int], ...]]]:
@@ -69,7 +76,7 @@ def outputs(root: Path):
     from groupconn import cli
     from groupconn.graphs import CUBE, Digraph, structure_report, subdivide, thread_profile
     from groupconn.groups import parse_group
-    from groupconn.search import subdivision_multisets
+    from groupconn.search import SearchConfig, _tasks, load_bases, subdivision_multisets
     from groupconn.solver import avoiding_flow, decide, preprocess
 
     corpus = [(f"random {i}", Digraph(n, edges)) for i, (n, edges) in enumerate(random_corpus())]
@@ -146,6 +153,13 @@ def outputs(root: Path):
             if name in fast_slice:
                 for opt in (True, False):
                     yield f"{name} decide {spec} fast thread_opt={opt}", guarded(verdict, g, group, "fast", opt)
+
+    census = SearchConfig(added=range(3, 4), order="random", seed=7, distinct_edges_only=True)
+    for task in _tasks(load_bases(str(root / CENSUS_BASES)), census)[:CENSUS_TASKS]:
+        g = task.build()
+        for spec in CENSUS_GROUPS:
+            name = f"cubic12 base {task.base_index} {list(task.counts)} decide {spec} auto"
+            yield name, guarded(verdict, g, parse_group(spec), "auto")
 
 
 def dump(root: Path) -> None:

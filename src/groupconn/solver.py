@@ -165,6 +165,8 @@ def _relabel(edges: list[tuple[int, int, int]]) -> ReducedComponent:
 
 def _split(cur: ReducedComponent, components: list[list[int]]) -> tuple[ReducedComponent, ...]:
     """Cut `cur` into its connected components, each relabeled locally."""
+    if len(components) == 1:  # cur has no isolated vertex, so relabelling it changes nothing
+        return (cur,)
     comp_of = {v: c for c, members in enumerate(components) for v in members}
     pieces: list[list[tuple[int, int, int]]] = [[] for _ in components]
     for (u, v), eid in zip(cur.graph.edges, cur.orig_edges):
@@ -459,6 +461,35 @@ class _Cells:
         return w * self.k ** min(self.axes, self.j) + (~x & (x + 1)).bit_length() - 1
 
 
+@functools.lru_cache(maxsize=4096)
+def _head(group: Group, h: int, pairs: tuple[tuple[int, int], ...]) -> _Cells:
+    """The sumset's first h <= j places plus an edge per place pair, in one word (read-only).
+
+    An edge takes every nonzero value, a set closed under negation, and sums
+    commute, so solve_sumset keys this by the sorted pairs of sorted places.
+    """
+    k, table = group.order, _cayley(group)
+    moves = [(table[:, group.neg(c)], table[:, c]) for c in range(1, k)]
+    cells = _Cells(k, h, np.ones((), dtype=np.uint64))
+    for pair in pairs:
+        cells = cells.with_edge(moves, pair)
+    words = np.array(cells.words, dtype=np.uint64)  # a 0-d ufunc result is a numpy scalar
+    words.flags.writeable = False
+    return _Cells(k, h, words)
+
+
+@functools.lru_cache(maxsize=64)
+def _box(group: Group, j: int) -> _Cells:
+    """Each of the k**j cells of places 1..j spread by every nonzero one-place move (read-only)."""
+    k, table = group.order, _cayley(group)
+    spread = [(table[:, c],) for c in range(1, k)]
+    box = _Cells(k, j, np.left_shift(np.uint64(1), np.arange(k**j, dtype=np.uint64)))
+    for p in range(1, j + 1):
+        box = box.with_edge(spread, (p,))
+    box.words.flags.writeable = False
+    return box
+
+
 # ---------------------------------------------------------------------------
 # engines
 # ---------------------------------------------------------------------------
@@ -547,9 +578,7 @@ def _first_unavoidable(
     table = _cayley(group)
     spread = [(table[:, c],) for c in range(1, k)]
     j = min(d, _layout(k, 0)[0])
-    box = _Cells(k, j, np.left_shift(np.uint64(1), np.arange(k**j, dtype=np.uint64)))
-    for p in range(1, j + 1):
-        box = box.with_edge(spread, (p,))
+    box = _box(group, j)
     avoided = _Cells(k, d, np.zeros((k,) * (d - j), dtype=np.uint64))
     place = k ** np.arange(d - 1, -1, -1, dtype=np.int64)
     for flows in _flow_rows(g, group, s, values, CHUNK // max(g.m, 1)):
@@ -910,7 +939,9 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
     (``_Cells``) with one axis of size |G| per vertex but the first of
     _elimination_order, whose value is fixed by the zero sum.  Vertices
     join the array in that order, a vertex's edges to earlier vertices
-    being added right after it joins.
+    being added right after it joins.  The places that fit one word, with
+    their edges, come from the cache ``_head``; ``edges_added`` counts all
+    of the head's edges, even past the point where the array is full.
 
     A thread u -> w1 -> ... -> v of 2 <= L <= |G|-1 edges is contracted
     first: boundaries at w1.. with partial sums s1.. leave its first edge
@@ -952,15 +983,17 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
         joins[max(place[u], place[v])].append((u, v))
     table = _cayley(group)
     moves = [(table[:, group.neg(c)], table[:, c]) for c in range(k)]
+    h = min(_layout(k, 0)[0], n - 1)
+    pairs = sorted(tuple(sorted((place[u], place[v]))) for t in range(1, h + 1) for u, v in joins[t])
     stats = {
         "boundaries_total": total,
-        "edges_added": 0,
+        "edges_added": len(pairs),
         "threads_contracted": len(contracted),
         "thread_branches": 0,
         "symmetric_skips": 0,
     }
-    reached = _Cells(k, 0, np.ones((), dtype=np.uint64))
-    for t in range(1, n):
+    reached = _head(group, h, tuple(pairs))
+    for t in range(h + 1, n):
         reached = reached.grown()
         for u, v in joins[t]:
             reached = reached.with_edge(moves[1:], (place[u], place[v]))

@@ -115,6 +115,31 @@ def test_preprocess_fixpoint_cascade():
     assert v.connected == oracle(gg, Z3)
 
 
+def test_preprocess_keeps_a_reduction_free_graph_as_its_one_component():
+    for g in (THETA, complete_graph(4), PETERSEN):
+        for group in (Z4, Z2xZ2):
+            inst = preprocess(g, group)
+            assert inst.components == (solver.ReducedComponent(g, tuple(range(g.m))),)
+
+
+def test_preprocess_components_after_a_split_or_a_deleted_thread():
+    # two K4s with interleaved edge ids, then one of them losing a subdivided edge
+    k4 = Digraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)))
+    two = Digraph(8, ((4, 5), (0, 1), (5, 6), (1, 2), (6, 7), (2, 3), (7, 4), (3, 0), (4, 6), (0, 2), (5, 7), (1, 3)))
+    odd, even = (1, 3, 5, 7, 9, 11), (0, 2, 4, 6, 8, 10)
+    k4_cut = Digraph(4, ((0, 1), (2, 3), (3, 0), (0, 2), (1, 3)))
+    k4_thread = Digraph(4, ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    R = solver.ReducedComponent
+    for group in (Z4, Z2xZ2):
+        assert preprocess(two, group).components == (R(k4, odd), R(k4, even))
+        inst = preprocess(subdivide(two, 3, 2), group)
+        assert inst.components == (R(k4_cut, (1, 5, 7, 9, 11)), R(k4, even))
+        assert inst.forced_threads == (((3, 1), (12, 1), (13, 1)),)
+        inst = preprocess(subdivide(complete_graph(4), 0, 2), group)
+        assert inst.components == (R(k4_thread, (1, 2, 3, 4, 5)),)
+        assert inst.forced_threads == (((0, 1), (6, 1), (7, 1)),)
+
+
 def test_preprocess_trivial_graphs():
     assert preprocess(Digraph(1, ()), Z4).components == ()
     assert decide(Digraph(1, ()), Z4).connected
@@ -576,6 +601,45 @@ def test_packed_cells_match_bool_arrays(spec):
                 assert cells.hit_by(moves[1:], (pu, pv), times) == want, (spec, axes, times)
                 outcomes.add(want)
     assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("spec", ["z2", "z3", "z4", "z2^2", "z8", "z64"])
+def test_cached_head_matches_the_edge_by_edge_build(spec):
+    group = parse_group(spec)
+    k, j = group.order, solver._layout(group.order, 0)[0]
+    table = solver._cayley(group)
+    moves = [(table[:, group.neg(c)], table[:, c]) for c in range(1, k)]
+    rng = random.Random(f"head {spec}")
+    for _ in range(30):
+        h = rng.randint(1, j)
+        pairs = [tuple(rng.sample(range(h + 1), 2)) for _ in range(rng.randint(0, 2 * h + 2))]
+        pairs += [rng.choice([p, p[::-1]]) for p in pairs[: rng.randint(0, len(pairs))]]  # parallel pairs
+        rng.shuffle(pairs)
+        want = solver._Cells(k, 0, np.ones((), dtype=np.uint64))
+        for _ in range(h):
+            want = want.grown()
+        for pair in pairs:
+            want = want.with_edge(moves, pair)
+        head = solver._head(group, h, tuple(sorted(tuple(sorted(p)) for p in pairs)))
+        assert (head.axes, int(head.words)) == (h, int(want.words)), (h, pairs)
+        with pytest.raises(ValueError):
+            head.words |= np.uint64(1)
+    box = solver._box(group, j)
+    assert len(box.words) == k**j
+    with pytest.raises(ValueError):
+        box.words |= np.uint64(1)
+
+
+def test_sumset_head_key_ignores_edge_orientation():
+    for g in (complete_graph(4), PETERSEN, OCTAHEDRON, subdivide(CUBE, 0), subdivide(CUBE, 3, 2)):
+        flipped = Digraph(g.n, tuple((v, u) for u, v in g.edges))
+        for group in (Z4, Z2xZ2):
+            want = solve_sumset(g, group)
+            misses = solver._head.cache_info().misses
+            got = solve_sumset(flipped, group)
+            assert solver._head.cache_info().misses == misses
+            assert got.connected == want.connected and got.stats["edges_added"] == want.stats["edges_added"]
+            check_sumset_no(got)
 
 
 def test_sumset_agrees_with_naive_on_wider_layouts():
