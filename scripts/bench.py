@@ -10,9 +10,15 @@ checkouts, alternating which goes first, and the record counts the pairs
 each end-to-end metric won.  Per side it stores the source hash, every
 run, and the median and quartiles of every end-to-end metric.
 
-One ungated extra is measured per pair and side in a fresh process: the
-15-vertex witness fixture of ``data/`` decided with ``decide`` (auto) for
-z4 and z2^2, with the seconds per group and the process's peak RSS.
+Two ungated extras are measured per pair and side, each in a fresh
+process, with ``decide`` (auto) over z4 and z2^2:
+
+* the fixture probe: the 15-vertex witness fixture of ``data/``, with the
+  seconds per group and the process's peak RSS;
+* the census probe: the first 100 tasks of the seed-7, distinct-edge,
+  added = 3 search of ``data/cubic12_all.g6`` (4^11-cell boundary
+  arrays), with the milliseconds and minor page faults per decide and
+  the process's peak RSS.
 
 The record goes to BENCH_<label>.json in this checkout's root.  Exit
 status 2 means a run failed to produce its result line.
@@ -32,6 +38,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path("data") / "witness_z22_yes_z4_no.json"
 FIXTURE_GROUPS = ("z4", "z2^2")
+CENSUS_BASES = Path("data") / "cubic12_all.g6"
+CENSUS_TASKS = 100
 
 
 def fixture_probe(root: Path) -> None:
@@ -50,6 +58,31 @@ def fixture_probe(root: Path) -> None:
         out[spec] = {"seconds": time.perf_counter() - t0, "connected": v.connected, "algorithm": v.algorithm}
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # Linux reports KiB
     print(json.dumps(out))
+
+
+def census_probe(root: Path) -> None:
+    """Decide the census slice of checkout `root` for both groups; print one JSON line."""
+    sys.path.insert(0, str(root / "src"))
+    from groupconn.groups import parse_group
+    from groupconn.search import SearchConfig, _tasks, load_bases
+    from groupconn.solver import decide
+
+    config = SearchConfig(added=range(3, 4), order="random", seed=7, distinct_edges_only=True)
+    graphs = [task.build() for task in _tasks(load_bases(str(root / CENSUS_BASES)), config)[:CENSUS_TASKS]]
+    groups = [parse_group(spec) for spec in FIXTURE_GROUPS]
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    t0 = time.perf_counter()
+    yes = sum(decide(g, group).connected for g in graphs for group in groups)
+    seconds = time.perf_counter() - t0
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    decides = len(graphs) * len(groups)
+    print(json.dumps({
+        "decides": decides,
+        "yes": yes,
+        "ms_per_decide": 1e3 * seconds / decides,
+        "minflt_per_decide": (after.ru_minflt - before.ru_minflt) / decides,
+        "peak_rss_mb": after.ru_maxrss / 1024.0,
+    }))
 
 
 def run_checked(cmd: list[str], cwd: Path) -> list[str]:
@@ -74,8 +107,8 @@ def perfbench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def fixture_run(root: Path) -> dict:
-    return json.loads(run_checked([sys.executable, str(Path(__file__).resolve()), "--fixture-probe", str(root)], ROOT)[-1])
+def probe_run(root: Path, probe: str) -> dict:
+    return json.loads(run_checked([sys.executable, str(Path(__file__).resolve()), probe, str(root)], ROOT)[-1])
 
 
 def summary(values: list[float]) -> dict:
@@ -91,9 +124,13 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--parent", type=Path, help="checkout of the parent commit to alternate with")
     ap.add_argument("--fixture-probe", type=Path, help=argparse.SUPPRESS)
+    ap.add_argument("--census-probe", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.fixture_probe:
         fixture_probe(args.fixture_probe)
+        return 0
+    if args.census_probe:
+        census_probe(args.census_probe)
         return 0
     if not args.label:
         ap.error("--label is required")
@@ -103,6 +140,7 @@ def main(argv=None) -> int:
     sides = {"change": ROOT} | ({"parent": args.parent.resolve()} if args.parent else {})
     runs = {side: {w: [] for w in workloads} for side in sides}
     fixtures = {side: [] for side in sides}
+    censuses = {side: [] for side in sides}
     try:
         for seed in range(1, args.pairs + 1):
             order = list(sides) if seed % 2 else list(reversed(sides))
@@ -112,7 +150,8 @@ def main(argv=None) -> int:
                     runs[side][w].append(r)
                     print(f"pair {seed} {w} {side}: {r['metrics']} failed {r['failed']}", file=sys.stderr, flush=True)
             for side in order:
-                fixtures[side].append(fixture_run(sides[side]))
+                fixtures[side].append(probe_run(sides[side], "--fixture-probe"))
+                censuses[side].append(probe_run(sides[side], "--census-probe"))
     except RuntimeError as exc:
         print(f"bench error: {exc}", file=sys.stderr)
         return 2
@@ -146,6 +185,9 @@ def main(argv=None) -> int:
                 "seconds": summary([f[group]["seconds"] for f in fx]),
                 "connected": [f[group]["connected"] for f in fx],
             }
+        cs = censuses[side]
+        out["census"] = {key: summary([c[key] for c in cs]) for key in ("ms_per_decide", "minflt_per_decide", "peak_rss_mb")}
+        out["census"] |= {"decides": cs[0]["decides"], "yes": [c["yes"] for c in cs]}
         record["sides"][side] = out
     if args.parent:
         wins = {}

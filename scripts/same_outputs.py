@@ -29,6 +29,12 @@ Last, it records the ``decide`` (auto) verdict and certificate over z4
 and z2^2 of a census slice: the first 200 tasks of the seed-7,
 distinct-edge, added = 3 search of ``data/cubic12_all.g6``, whose
 boundary arrays (4^11 cells) and head patterns the cube corpus lacks.
+Then it decides the cube subdivisions with 3 added vertices and the
+census slice again, each graph over z2^2 first and then z4, and records
+the verdict, the certificate and every count in ``stats`` (not its
+timings): the decides of one graph share structure memoized per graph
+and group order, so a value of one group leaking into the other's
+decide shows against the parent in one order or the other.
 The two runs are compared item by item and the first item that differs
 is printed.
 
@@ -59,6 +65,7 @@ CLI_FIELDS = ("connected", "algorithm", "certificate", "preprocessing")
 CENSUS_BASES = Path("data") / "cubic12_all.g6"
 CENSUS_TASKS = 200
 CENSUS_GROUPS = ("z4", "z2^2")
+REVERSED_GROUPS = ("z2^2", "z4")  # the second pass's order
 
 
 def random_corpus() -> list[tuple[int, tuple[tuple[int, int], ...]]]:
@@ -116,6 +123,11 @@ def outputs(root: Path):
         v = decide(g, group, algorithm, use_preprocessing, thread_opt)
         return [v.connected, None if v.certificate is None else list(v.certificate)]
 
+    def counted_verdict(g, group):
+        v = decide(g, group)
+        counts = {key: val for key, val in v.stats.items() if not key.startswith("elapsed")}
+        return [v.connected, None if v.certificate is None else list(v.certificate), counts]
+
     def cli_test(path, spec, algo):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -155,11 +167,17 @@ def outputs(root: Path):
                     yield f"{name} decide {spec} fast thread_opt={opt}", guarded(verdict, g, group, "fast", opt)
 
     census = SearchConfig(added=range(3, 4), order="random", seed=7, distinct_edges_only=True)
-    for task in _tasks(load_bases(str(root / CENSUS_BASES)), census)[:CENSUS_TASKS]:
-        g = task.build()
+    census_graphs = [
+        (f"cubic12 base {task.base_index} {list(task.counts)}", task.build())
+        for task in _tasks(load_bases(str(root / CENSUS_BASES)), census)[:CENSUS_TASKS]
+    ]
+    for name, g in census_graphs:
         for spec in CENSUS_GROUPS:
-            name = f"cubic12 base {task.base_index} {list(task.counts)} decide {spec} auto"
-            yield name, guarded(verdict, g, parse_group(spec), "auto")
+            yield f"{name} decide {spec} auto", guarded(verdict, g, parse_group(spec), "auto")
+
+    for name, g in [(name, g) for name, g in corpus if name.startswith("cube+3 ")] + census_graphs:
+        for spec in REVERSED_GROUPS:
+            yield f"{name} decide {spec} auto, z2^2 first", guarded(counted_verdict, g, parse_group(spec))
 
 
 def dump(root: Path) -> None:

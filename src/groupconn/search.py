@@ -14,7 +14,9 @@ again with the ``naive`` engine whenever its |G|^(n-1) tree mappings fit
 ``solver.NAIVE_KEY_LIMIT``; a witness past that limit carries
 ``yes_crosschecked`` false.  Either check failing is an
 ``AssertionError`` that stops the search.  Nothing is sampled; the only
-randomness is the task order.
+randomness is the task order.  A candidate's two decides and its
+``naive`` cross-check share one structural plan (``preprocess``'s
+reductions and the sumset's layout), memoized per graph and group order.
 """
 
 from __future__ import annotations

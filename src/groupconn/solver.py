@@ -39,6 +39,10 @@ bridges, short cycles, long threads) and knows how to lift certificates
 back to the original graph; ``decide`` glues everything together.  It is
 also the one place that resolves ``algorithm="auto"``: ultra-naive
 without preprocessing, else sumset on every reduced component.
+
+What depends only on the graph and |G| is memoized per graph value and
+order as read-only plans, and what depends only on G per group, so a
+decide computes only its group's values and does its array work.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -118,12 +122,14 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ReducedComponent:
+class ReducedComponent(NamedTuple):
     """A connected piece of the reduced graph, with edges relabeled locally."""
 
     graph: Digraph
     orig_edges: tuple[int, ...]  # local edge id -> original edge id
+
+
+Path = tuple[tuple[int, int], ...]  # (original edge id, sign) along a thread or a cycle
 
 
 @dataclass
@@ -132,7 +138,7 @@ class ReducedInstance:
     group: Group
     components: tuple[ReducedComponent, ...]
     early_no: Optional[EdgeVector]  # certificate on the original graph
-    forced_threads: tuple[tuple[tuple[int, int], ...], ...]  # ((orig_edge, sign), ...)
+    forced_threads: tuple[Path, ...]
     steps: tuple[str, ...]
 
     def lift(self, assignment: dict[int, int]) -> EdgeVector:
@@ -151,6 +157,15 @@ class ReducedInstance:
         for e, v in assignment.items():
             cert[e] = v
         return tuple(cert)
+
+
+class _Reduction(NamedTuple):
+    """preprocess's outcome for one graph and group order, without the group's arithmetic."""
+
+    components: tuple[ReducedComponent, ...]
+    forced_threads: tuple[Path, ...]
+    early: Optional[Path]  # the path an early NO forbids j mod |G| on; a bridge is a path of one edge
+    steps: tuple[str, ...]
 
 
 def _relabel(edges: list[tuple[int, int, int]]) -> ReducedComponent:
@@ -174,18 +189,20 @@ def _split(cur: ReducedComponent, components: list[list[int]]) -> tuple[ReducedC
     return tuple(_relabel(p) for p in pieces)
 
 
-def _pigeonhole(path: Thread | CycleComponent, group: Group, orig: tuple[int, ...]) -> dict[int, int]:
+def _path(t: Thread | CycleComponent, orig: tuple[int, ...]) -> Path:
+    """A thread or cycle of a relabeled graph as (original edge id, sign) pairs."""
+    return tuple((orig[e], sign) for e, sign in zip(t.edge_ids, t.signs))
+
+
+def _pigeonhole(path: Path, group: Group) -> dict[int, int]:
     """Forbid j mod |G|, sign-normalized, on the j-th edge of a thread or cycle.
 
     A flow carries one sign-normalized value along the whole path; with at
     least |G| edges every value is forbidden on some edge, so no flow
-    avoids the mapping.
+    avoids the mapping.  (On a bridge, a path of one edge, it forbids 0.)
     """
     k = group.order
-    return {
-        orig[e]: j % k if sign > 0 else group.neg(j % k)
-        for j, (e, sign) in enumerate(zip(path.edge_ids, path.signs))
-    }
+    return {e: j % k if sign > 0 else group.neg(j % k) for j, (e, sign) in enumerate(path)}
 
 
 def preprocess(g: Digraph, group: Group) -> ReducedInstance:
@@ -204,16 +221,26 @@ def preprocess(g: Digraph, group: Group) -> ReducedInstance:
     5. a thread of exactly length |G| - 1 is deleted whole: distinct
        nonzero forbidden values along it force the thread flow to zero,
        so flows of the remainder are unrestricted.
+
+    The rules read only the graph and |G|, so they run once per graph and
+    order (``_reduction``); only the certificate's values use the group.
     """
-    k = group.order
+    r = _reduction(g, group.order)
+    inst = ReducedInstance(g, group, r.components, None, r.forced_threads, r.steps)
+    if r.early is not None:
+        inst.early_no = inst.lift(_pigeonhole(r.early, group))
+    return inst
+
+
+@functools.lru_cache(maxsize=2)
+def _reduction(g: Digraph, k: int) -> _Reduction:
+    """preprocess's rules on g for groups of order k, memoized by graph value and order (read-only)."""
     steps: list[str] = []
-    forced: list[tuple[tuple[int, int], ...]] = []
+    forced: list[Path] = []
     edges = [(u, v, i) for i, (u, v) in enumerate(g.edges)]
 
-    def early(partial: dict[int, int]) -> ReducedInstance:
-        inst = ReducedInstance(g, group, (), None, tuple(forced), tuple(steps))
-        inst.early_no = inst.lift(partial)
-        return inst
+    def early(path: Path) -> _Reduction:
+        return _Reduction((), tuple(forced), path, tuple(steps))
 
     while edges:
         loops = [t for t in edges if t[0] == t[1]]
@@ -225,9 +252,8 @@ def preprocess(g: Digraph, group: Group) -> ReducedInstance:
         cur = _relabel(edges)
         bridges, components, _ = structure_report(cur.graph)
         if bridges:
-            b = min(bridges)
             steps.append("bridge found: not connected")
-            return early({cur.orig_edges[b]: 0})
+            return early(((cur.orig_edges[min(bridges)], 1),))
 
         profile = thread_profile(cur.graph)
 
@@ -235,7 +261,7 @@ def preprocess(g: Digraph, group: Group) -> ReducedInstance:
             cyc = profile.cycle_components[0]
             if len(cyc.edge_ids) >= k:
                 steps.append(f"cycle component of length {len(cyc.edge_ids)} >= {k}: not connected")
-                return early(_pigeonhole(cyc, group, cur.orig_edges))
+                return early(_path(cyc, cur.orig_edges))
             steps.append(f"deleted cycle component of length {len(cyc.edge_ids)}")
             drop = set(cyc.edge_ids)
             edges = [t for i, t in enumerate(edges) if i not in drop]
@@ -245,19 +271,19 @@ def preprocess(g: Digraph, group: Group) -> ReducedInstance:
         if long_threads:
             t = long_threads[0]
             steps.append(f"thread of length {len(t)} >= {k}: not connected")
-            return early(_pigeonhole(t, group, cur.orig_edges))
+            return early(_path(t, cur.orig_edges))
 
         saturated = [t for t in profile.threads if len(t) == k - 1]
         if saturated:
             t = saturated[0]
             steps.append(f"deleted saturated thread of length {k - 1}")
-            forced.append(tuple((cur.orig_edges[e], s) for e, s in zip(t.edge_ids, t.signs)))
+            forced.append(_path(t, cur.orig_edges))
             drop = set(t.edge_ids)
             edges = [e for i, e in enumerate(edges) if i not in drop]
             continue
 
-        return ReducedInstance(g, group, _split(cur, components), None, tuple(forced), tuple(steps))
-    return ReducedInstance(g, group, (), None, tuple(forced), tuple(steps))
+        return _Reduction(_split(cur, components), tuple(forced), None, tuple(steps))
+    return _Reduction((), tuple(forced), None, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +298,13 @@ def _cayley(group: Group) -> np.ndarray:
     table = np.array([[group.add(a, b) for b in range(k)] for a in range(k)], dtype=np.uint8)
     table.flags.writeable = False
     return table
+
+
+@functools.lru_cache(maxsize=None)
+def _moves(group: Group) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The move of an edge taking c, for each element c: (column -c, column c) of the Cayley table (read-only)."""
+    table = _cayley(group)
+    return tuple((table[:, group.neg(c)], table[:, c]) for c in range(group.order))
 
 
 AUT_CANDIDATE_LIMIT = 4096
@@ -304,6 +337,21 @@ def _automorphisms(group: Group) -> tuple[tuple[int, ...], ...]:
         if len(set(sigma.tolist())) == k:
             out.append(tuple(sigma.tolist()))
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=4096)
+def _fixers(group: Group, fixing: int, f: tuple[int, ...]) -> Optional[int]:
+    """Which automorphisms of the bit mask `fixing` (bit i: ``_automorphisms(group)[i]``) fix the set f.
+
+    None when one of them maps f to a lexicographically smaller set, else
+    the mask of those that map f to itself.
+    """
+    auts = _automorphisms(group)
+    members = [i for i in range(len(auts)) if fixing >> i & 1]
+    images = [tuple(sorted(auts[i][x] for x in f)) for i in members]
+    if min(images) < f:
+        return None
+    return sum(1 << i for i, image in zip(members, images) if image == f)
 
 
 @functools.lru_cache(maxsize=None)
@@ -468,8 +516,7 @@ def _head(group: Group, h: int, pairs: tuple[tuple[int, int], ...]) -> _Cells:
     An edge takes every nonzero value, a set closed under negation, and sums
     commute, so solve_sumset keys this by the sorted pairs of sorted places.
     """
-    k, table = group.order, _cayley(group)
-    moves = [(table[:, group.neg(c)], table[:, c]) for c in range(1, k)]
+    k, moves = group.order, _moves(group)[1:]
     cells = _Cells(k, h, np.ones((), dtype=np.uint64))
     for pair in pairs:
         cells = cells.with_edge(moves, pair)
@@ -930,6 +977,52 @@ def _tree_mapping(g: Digraph, group: Group, root: int, beta: Sequence[int]) -> E
     return tuple(h)
 
 
+class _SumsetPlan(NamedTuple):
+    """solve_sumset's layout of one graph for one group order, without the group's arithmetic."""
+
+    order: tuple[int, ...]  # the vertex at each place, from _elimination_order
+    total: int  # boundaries, k ** (places - 1)
+    h: int  # the places 1..h that fit one word
+    head: tuple[tuple[int, int], ...]  # sorted place pairs of the plain edges among places 0..h
+    joins: tuple[tuple[tuple[int, int], ...], ...]  # place pairs of the plain edges that join at place h+1, h+2, ..
+    threads: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]  # (end places, inner vertices) per contracted thread
+    contracted: int  # threads contracted, those from a vertex back to itself included
+
+
+@functools.lru_cache(maxsize=2)
+def _sumset_plan(g: Digraph, k: int) -> _SumsetPlan:
+    """The places, joins and contracted threads of g for groups of order k (read-only).
+
+    Memoized by graph value and order, so the decides of one graph over
+    the groups of one order share it.
+    """
+    _, core = _without_loops(g)
+    contracted = [t for t in thread_profile(core).threads if 2 <= len(t) <= k - 1]
+    inner = {x for t in contracted for x in t.inner}
+    # (u, v, inner vertices) of the contracted threads that are not loops
+    threads = [(t.tail_anchor, t.head_anchor, t.inner) for t in contracted if t.tail_anchor != t.head_anchor]
+    plain = [(u, v) for u, v in core.edges if u not in inner and v not in inner]
+    keep = [x for x in range(g.n) if x not in inner]
+    local = {x: i for i, x in enumerate(keep)}
+    branch_graph = Digraph(len(keep), tuple((local[u], local[v]) for u, v, *_ in plain + threads))
+    order = tuple(keep[i] for i in _elimination_order(branch_graph))
+    n = len(order)
+    place = {x: p for p, x in enumerate(order)}
+    joins: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # plain edges, by their later place
+    for u, v in plain:
+        joins[max(place[u], place[v])].append((place[u], place[v]))
+    h = min(_layout(k, 0)[0], n - 1)
+    return _SumsetPlan(
+        order,
+        k ** (n - 1),
+        h,
+        tuple(sorted(tuple(sorted(pair)) for t in range(1, h + 1) for pair in joins[t])),
+        tuple(tuple(pairs) for pairs in joins[h + 1 :]),
+        tuple(((place[u], place[v]), mid) for u, v, mid in threads),
+        len(contracted),
+    )
+
+
 def solve_sumset(g: Digraph, group: Group) -> Verdict:
     """Boundary-sumset engine for a connected graph (loops are ignored).
 
@@ -949,87 +1042,72 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
     moves onto v.  So its inner vertices get no axes, and the thread is
     added last as an edge uv with values outside F, branching depth first
     over every F of 0 and L-1 distinct nonzero values (a thread from v to
-    v adds nothing and is dropped).  The threads and their inner vertices
-    come from the memoized thread_profile, so preprocess and this engine
-    share one thread walk.  An automorphism sigma of G maps the leaf for
-    F1, F2, .. onto the leaf for sigma F1, sigma F2, .., so a choice of F
-    is skipped when an automorphism fixing the F chosen before it maps it
-    to a lexicographically smaller one: the first leaf that is not full is
-    the least of its orbit, so none of its prefixes is skipped.  A full
-    array is YES for its whole subtree; the last thread is full for every
-    F when each cell is hit by at least L of its |G|-1 shifts.  At the
-    first leaf that is not full, the first unreached beta, lifted to g
-    with partial sums -F, has a tree mapping phi as its certificate: if a
-    flow f avoided phi, phi - f would be nowhere-zero with boundary beta.
+    v adds nothing and is dropped).  The places, joins and contracted
+    threads depend only on g and |G|: they come from the memo
+    ``_sumset_plan``, which the decides of g over every group of one order
+    share.  An automorphism sigma of G maps the leaf for F1, F2, .. onto
+    the leaf for sigma F1, sigma F2, .., so a choice of F is skipped when
+    an automorphism fixing the F chosen before it maps it to a
+    lexicographically smaller one (``_fixers``, cached per group): the
+    first leaf that is not full is the least of its orbit, so none of its
+    prefixes is skipped.  A full array is YES for its whole subtree; the
+    last thread is full for every F when each cell is hit by at least L of
+    its |G|-1 shifts.  At the first leaf that is not full, the first
+    unreached beta, lifted to g with partial sums -F, has a tree mapping
+    phi as its certificate: if a flow f avoided phi, phi - f would be
+    nowhere-zero with boundary beta.
     """
     t0 = time.perf_counter()
     k = group.order
-    _, core = _without_loops(g)
-    contracted = [t for t in thread_profile(core).threads if 2 <= len(t) <= k - 1]
-    inner = {x for t in contracted for x in t.inner}
-    # (u, v, inner vertices) of the contracted threads that are not loops
-    threads = [(t.tail_anchor, t.head_anchor, t.inner) for t in contracted if t.tail_anchor != t.head_anchor]
-    plain = [(u, v) for u, v in core.edges if u not in inner and v not in inner]
-    keep = [x for x in range(g.n) if x not in inner]
-    local = {x: i for i, x in enumerate(keep)}
-    branch_graph = Digraph(len(keep), tuple((local[u], local[v]) for u, v, *_ in plain + threads))
-    order = [keep[i] for i in _elimination_order(branch_graph)]
-    n, total = len(order), k ** (len(order) - 1)
-    if total > SUMSET_LIMIT:
+    plan = _sumset_plan(g, k)
+    order, threads, n = plan.order, plan.threads, len(plan.order)
+    if plan.total > SUMSET_LIMIT:
         raise ValueError(f"boundary array |G|**{n - 1} exceeds the sumset-engine limit")
-    place = {x: p for p, x in enumerate(order)}
-    joins: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # plain edges, by their later place
-    for u, v in plain:
-        joins[max(place[u], place[v])].append((u, v))
-    table = _cayley(group)
-    moves = [(table[:, group.neg(c)], table[:, c]) for c in range(k)]
-    h = min(_layout(k, 0)[0], n - 1)
-    pairs = sorted(tuple(sorted((place[u], place[v]))) for t in range(1, h + 1) for u, v in joins[t])
+    moves = _moves(group)
+    nonzero = moves[1:]
     stats = {
-        "boundaries_total": total,
-        "edges_added": len(pairs),
-        "threads_contracted": len(contracted),
+        "boundaries_total": plan.total,
+        "edges_added": len(plan.head),
+        "threads_contracted": plan.contracted,
         "thread_branches": 0,
         "symmetric_skips": 0,
     }
-    reached = _head(group, h, tuple(pairs))
-    for t in range(h + 1, n):
+    reached = _head(group, plan.h, plan.head)
+    for t, pairs in enumerate(plan.joins, plan.h + 1):
         reached = reached.grown()
-        for u, v in joins[t]:
-            reached = reached.with_edge(moves[1:], (place[u], place[v]))
+        for pair in pairs:
+            reached = reached.with_edge(nonzero, pair)
             stats["edges_added"] += 1
             if t == n - 1 and reached.all():
                 break
 
-    def branch(i: int, arr: _Cells, auts: Sequence[tuple[int, ...]]):
+    def branch(i: int, arr: _Cells, fixing: int):
         """The first leaf below arr that is not full, and the F chosen for threads i.., or None.
 
-        auts are the automorphisms that fix the F chosen for threads ..i-1.
+        fixing is the bit mask (``_fixers``) of the automorphisms that fix the F chosen for threads ..i-1.
         """
         if i == len(threads):
             return None if arr.all() else (arr, [])
         stats["thread_branches"] += 1
         if arr.all():
             return None
-        u, v, mid = threads[i]
-        ends = (place[u], place[v])
-        if i == len(threads) - 1 and arr.hit_by(moves[1:], ends, len(mid) + 1):
+        ends, mid = threads[i]
+        if i == len(threads) - 1 and arr.hit_by(nonzero, ends, len(mid) + 1):
             return None
         for f in itertools.combinations(range(1, k), len(mid)):
-            images = [tuple(sorted(sigma[x] for x in f)) for sigma in auts]
-            if min(images) < f:
+            fixers = _fixers(group, fixing, f)
+            if fixers is None:
                 stats["symmetric_skips"] += 1
                 continue
             stats["edges_added"] += 1
-            fixing = [sigma for sigma, image in zip(auts, images) if image == f]
-            found = branch(i + 1, arr.with_edge([moves[c] for c in range(1, k) if c not in f], ends), fixing)
+            found = branch(i + 1, arr.with_edge([moves[c] for c in range(1, k) if c not in f], ends), fixers)
             if found:
                 return found[0], [f] + found[1]
         return None
 
-    found = branch(0, reached, _automorphisms(group))
+    found = branch(0, reached, (1 << len(_automorphisms(group))) - 1)
     if found is None:
-        stats.update(boundaries_reached=total, elapsed=time.perf_counter() - t0)
+        stats.update(boundaries_reached=plan.total, elapsed=time.perf_counter() - t0)
         return Verdict(g, group, True, None, "sumset", stats)
     leaf, chosen = found
     stats["boundaries_reached"] = leaf.count()
@@ -1038,12 +1116,12 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
     for p in range(1, n):
         beta[order[p]] = digits[n - 1 - p]
         beta[order[0]] = group.sub(beta[order[0]], beta[order[p]])
-    for (u, v, mid), f in zip(threads, chosen):
+    for ((_, pv), mid), f in zip(threads, chosen):
         s = 0  # partial sum of the inner boundaries so far
         for w, x in zip(mid, f):
             beta[w] = group.sub(group.neg(x), s)
             s = group.neg(x)
-        beta[v] = group.sub(beta[v], s)
+        beta[order[pv]] = group.sub(beta[order[pv]], s)
     cert = _tree_mapping(g, group, order[0], beta)
     stats["elapsed"] = time.perf_counter() - t0
     if not verify_certificate(g, group, cert):

@@ -688,14 +688,59 @@ def test_auto_checks_the_sumset_limit_per_reduced_component(monkeypatch):
     assert (v.connected, v.certificate) == (want.connected, want.certificate)
 
 
+STRUCTURE_MEMOS = (thread_profile, solver._reduction, solver._sumset_plan)
+GROUP_MEMOS = (solver._cayley, solver._moves, solver._automorphisms, solver._fixers, solver._signed, solver._head, solver._box)
+
+
+def clear_memos():
+    for memo in STRUCTURE_MEMOS + GROUP_MEMOS:
+        memo.cache_clear()
+
+
 def test_decides_of_one_graph_share_one_thread_walk():
-    # preprocess's last round and the sumset engine walk the same core, for both groups
-    thread_profile.cache_clear()
+    # preprocess's last round and the sumset plan share one walk of the
+    # core; the second group of the order reuses both plans and walks nothing
+    clear_memos()
     g = subdivide(CUBE, 0)
     for group in (Z4, Z2xZ2):
         decide(g, group)
-    info = thread_profile.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    for memo in STRUCTURE_MEMOS:
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (1, 1), memo
+
+
+def reversed_edges(g, edges):
+    return Digraph(g.n, tuple(e[::-1] if i in edges else e for i, e in enumerate(g.edges)))
+
+
+def test_structure_memos_never_carry_one_groups_arithmetic_into_another():
+    # Z4's neg(1) is 3 and Z2^2's is 1, so a reversed edge on a pigeonhole
+    # path or a forced thread gets a different value in each certificate
+    k4 = complete_graph(4)
+    triangles = Digraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)))
+    thread4 = reversed_edges(subdivide(k4, 0, 3), {6, 8})  # the thread is edges 0, 6, 7, 8
+    cycle4 = Digraph(8, k4.edges + ((4, 5), (6, 5), (6, 7), (4, 7)))
+    forced = reversed_edges(subdivide(PETERSEN, 0, 2), {0})  # a saturated thread: edges 0, 15, 16
+    graphs = {"bridge": triangles, "thread4": thread4, "cycle4": cycle4, "forced": forced, "petersen": PETERSEN}
+    want = {}
+    for name, g in graphs.items():
+        for group in (Z4, Z2xZ2):
+            clear_memos()
+            want[name, group] = decide(g, group)
+            assert not want[name, group].connected, (name, group.spec_string())
+    for name in ("thread4", "cycle4", "forced"):
+        assert want[name, Z4].certificate != want[name, Z2xZ2].certificate, name
+    assert not any(column.flags.writeable for move in solver._moves(Z4) for column in move)
+    assert "deleted saturated thread of length 3" in want["forced", Z4].preprocessing
+    assert want["forced", Z4].algorithm == "sumset" and want["petersen", Z4].algorithm == "sumset"
+    for name, g in graphs.items():
+        for groups in ((Z4, Z2xZ2), (Z2xZ2, Z4)):
+            clear_memos()
+            for group in groups:
+                v = decide(g, group)
+                assert verify_certificate(g, group, v.certificate), (name, group.spec_string())
+                w = want[name, group]
+                assert (v.certificate, v.algorithm, v.preprocessing) == (w.certificate, w.algorithm, w.preprocessing)
 
 
 # -- known verdicts ----------------------------------------------------------
