@@ -7,7 +7,6 @@ smaller to the larger endpoint, which keeps certificates reproducible.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 
@@ -234,13 +233,13 @@ class ThreadProfile:
     cycle_components: tuple[CycleComponent, ...]
 
 
-@functools.lru_cache(maxsize=8)
 def thread_profile(g: Digraph) -> ThreadProfile:
     """Decompose a loop-free graph into threads and pure-cycle components.
 
     Threads run between anchor vertices (degree != 2), traversed from the
-    lower-numbered anchor, ties broken by lowest first-edge id.  Memoized by
-    graph value, so callers share one immutable result (it holds only tuples).
+    lower-numbered anchor, ties broken by lowest first-edge id.  The result
+    holds only tuples, so one walk is shared: the solver's read-only plan of
+    a graph keeps it for ``preprocess``'s last round and the sumset layout.
     """
     if any(u == v for u, v in g.edges):
         raise ValueError("thread_profile requires a loop-free graph")

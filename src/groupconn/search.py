@@ -14,9 +14,9 @@ again with the ``naive`` engine whenever its |G|^(n-1) tree mappings fit
 ``solver.NAIVE_KEY_LIMIT``; a witness past that limit carries
 ``yes_crosschecked`` false.  Either check failing is an
 ``AssertionError`` that stops the search.  Nothing is sampled; the only
-randomness is the task order.  A candidate's two decides and its
-``naive`` cross-check share one structural plan (``preprocess``'s
-reductions and the sumset's layout), memoized per graph and group order.
+randomness is the task order.  A candidate's decides, certificate checks
+and ``naive`` cross-check read one plan per graph and group order (thread
+walk, reduction, sumset layout, spanning structure) and one table set per group.
 """
 
 from __future__ import annotations
@@ -111,14 +111,20 @@ class SearchConfig:
     screen_budget: ClassVar[int] = 0
 
 
+def _distinct_edge_counts(m: int, added: int) -> Iterator[tuple[int, ...]]:
+    """subdivision_multisets's vectors with no count above 1, in its order, without building the others."""
+    for combo in itertools.combinations(range(m), added):
+        yield tuple([int(e in combo) for e in range(m)])  # from a list: a tuple from a generator keeps spare slots
+
+
 def _tasks(bases: list[Digraph], cfg: SearchConfig) -> list[SearchTask]:
     """The search's candidates, in the order it examines them."""
+    counts_of = _distinct_edge_counts if cfg.distinct_edges_only else subdivision_multisets
     tasks = [
         SearchTask(bi, base, counts)
         for bi, base in enumerate(bases)
         for added in cfg.added
-        for counts in subdivision_multisets(base.m, added)
-        if not (cfg.distinct_edges_only and max(counts) > 1)
+        for counts in counts_of(base.m, added)
     ]
     if cfg.order == "random":
         random.Random(cfg.seed).shuffle(tasks)
@@ -222,16 +228,11 @@ def _examine(task: SearchTask, group_a: Group, group_b: Group) -> Optional[Witne
     if not verify_certificate(g, no.group, no.certificate):
         raise AssertionError("witness certificate failed re-verification")
     crosschecked = yes.group.order ** (g.n - 1) <= solver.NAIVE_KEY_LIMIT
-    if crosschecked:
-        _crosscheck(g, yes.group)
+    # the naive engine confirms the YES side (the NO side is proved by its certificate)
+    if crosschecked and not decide(g, yes.group, "naive").connected:
+        raise AssertionError(f"naive cross-check disagrees for {yes.group.spec_string()}")
     elapsed = time.perf_counter() - t0
     return Witness(g, yes.group, no.group, tuple(no.certificate), task.base_index, task.counts, elapsed, crosschecked)
-
-
-def _crosscheck(g: Digraph, yes: Group) -> None:
-    """Confirm a YES verdict with the naive engine (a NO is proved by its certificate)."""
-    if not decide(g, yes, "naive").connected:
-        raise AssertionError(f"naive cross-check disagrees for {yes.spec_string()}")
 
 
 def load_bases(path: str) -> list[Digraph]:

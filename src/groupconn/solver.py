@@ -40,9 +40,11 @@ back to the original graph; ``decide`` glues everything together.  It is
 also the one place that resolves ``algorithm="auto"``: ultra-naive
 without preprocessing, else sumset on every reduced component.
 
-What depends only on the graph and |G| is memoized per graph value and
-order as read-only plans, and what depends only on G per group, so a
-decide computes only its group's values and does its array work.
+One read-only plan per graph value and order (``_plan``) holds the thread
+walk, preprocess's reduction, the sumset layout and the spanning structure
+every flow check reads; one read-only table set per group (``_tables``)
+holds the Cayley table, edge moves, signed multiples and automorphisms.
+So a decide computes only its group's values and does its array work.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ FAST_TABLE_LIMIT = 2**28  # cap on the class-marking table (one byte per key)
 SUMSET_LIMIT = 2**28  # cap on the boundary array (one bit per boundary, threads contracted)
 CHUNK = 1 << 21  # vectorized enumeration chunk size
 ALGORITHMS = ("auto", "sumset", "fast", "naive", "ultra")  # the names decide accepts
+AUT_CANDIDATE_LIMIT = 4096  # cap on the candidate automorphisms _tables tries
 
 PackedCols = tuple  # one numpy uint64 array per group factor
 
@@ -159,15 +162,6 @@ class ReducedInstance:
         return tuple(cert)
 
 
-class _Reduction(NamedTuple):
-    """preprocess's outcome for one graph and group order, without the group's arithmetic."""
-
-    components: tuple[ReducedComponent, ...]
-    forced_threads: tuple[Path, ...]
-    early: Optional[Path]  # the path an early NO forbids j mod |G| on; a bridge is a path of one edge
-    steps: tuple[str, ...]
-
-
 def _relabel(edges: list[tuple[int, int, int]]) -> ReducedComponent:
     """Relabel (u, v, orig_id) edges onto vertices 0..n-1 and edges 0..m-1."""
     verts = sorted({x for u, v, _ in edges for x in (u, v)})
@@ -223,39 +217,39 @@ def preprocess(g: Digraph, group: Group) -> ReducedInstance:
        so flows of the remainder are unrestricted.
 
     The rules read only the graph and |G|, so they run once per graph and
-    order (``_reduction``); only the certificate's values use the group.
+    order (the ``reduction`` of ``_plan``); only the certificate's values
+    use the group.
     """
-    r = _reduction(g, group.order)
-    inst = ReducedInstance(g, group, r.components, None, r.forced_threads, r.steps)
-    if r.early is not None:
-        inst.early_no = inst.lift(_pigeonhole(r.early, group))
+    components, forced, early, steps = _plan(g, group.order).reduction
+    inst = ReducedInstance(g, group, components, None, forced, steps)
+    if early is not None:
+        inst.early_no = inst.lift(_pigeonhole(early, group))
     return inst
 
 
-@functools.lru_cache(maxsize=2)
-def _reduction(g: Digraph, k: int) -> _Reduction:
-    """preprocess's rules on g for groups of order k, memoized by graph value and order (read-only)."""
-    steps: list[str] = []
-    forced: list[Path] = []
-    edges = [(u, v, i) for i, (u, v) in enumerate(g.edges)]
+def _reduce(plan: _Plan) -> tuple[tuple[ReducedComponent, ...], tuple[Path, ...], Optional[Path], tuple[str, ...]]:
+    """preprocess's rules on the plan's graph: components, forced threads, early-NO path, steps.
 
-    def early(path: Path) -> _Reduction:
-        return _Reduction((), tuple(forced), path, tuple(steps))
+    An early NO forbids j mod |G| on the j-th edge of its path, a bridge
+    being a path of one edge.  The rounds start from the plan's core, whose
+    walk is the plan's; a last round that leaves one component hands its
+    walk to that component's plan, where the sumset layout reads it.
+    """
+    k, loops, forced = plan.k, plan.graph.m - plan.core.m, []
+    steps = [f"deleted {loops} loop(s)"] if loops else []
+    edges = [(u, v, i) for i, (u, v) in zip(plan.core_ids, plan.core.edges)]
+
+    def early(path: Path):
+        return (), tuple(forced), path, tuple(steps)
 
     while edges:
-        loops = [t for t in edges if t[0] == t[1]]
-        if loops:
-            edges = [t for t in edges if t[0] != t[1]]
-            steps.append(f"deleted {len(loops)} loop(s)")
-            continue
-
         cur = _relabel(edges)
         bridges, components, _ = structure_report(cur.graph)
         if bridges:
             steps.append("bridge found: not connected")
             return early(((cur.orig_edges[min(bridges)], 1),))
 
-        profile = thread_profile(cur.graph)
+        profile = plan.walk if cur.graph == plan.core else thread_profile(cur.graph)
 
         if profile.cycle_components:
             cyc = profile.cycle_components[0]
@@ -282,8 +276,96 @@ def _reduction(g: Digraph, k: int) -> _Reduction:
             edges = [e for i, e in enumerate(edges) if i not in drop]
             continue
 
-        return _Reduction(_split(cur, components), tuple(forced), None, tuple(steps))
-    return _Reduction((), tuple(forced), None, tuple(steps))
+        pieces = _split(cur, components)
+        if len(pieces) == 1:
+            vars(_plan(cur.graph, k)).setdefault("walk", profile)
+        return pieces, tuple(forced), None, tuple(steps)
+    return (), tuple(forced), None, tuple(steps)
+
+
+# ---------------------------------------------------------------------------
+# one plan per graph and order, one table set per group
+# ---------------------------------------------------------------------------
+
+
+class _Plan:
+    """What the decides of one graph over the groups of one order share (read-only).
+
+    ``core`` is the graph without its loops, ``core_ids`` the ids of its
+    edges.  The other parts are built on first use by ``__getattr__`` from
+    ``_PARTS`` (whose lambdas resolve what they call only then) and kept:
+    ``walk``, the core's thread walk; ``reduction``, preprocess's outcome
+    without the group's arithmetic; ``layout``, solve_sumset's places,
+    joins and contracted threads; ``tree``, the core's spanning structure.
+    """
+
+    def __init__(self, g: Digraph, k: int):
+        self.graph, self.k = g, k
+        self.core_ids = tuple(i for i, (u, v) in enumerate(g.edges) if u != v)
+        self.core = g if len(self.core_ids) == g.m else Digraph(g.n, tuple(g.edges[i] for i in self.core_ids))
+
+    def __getattr__(self, part: str):
+        if part not in _PARTS:
+            raise AttributeError(part)
+        setattr(self, part, _PARTS[part](self))
+        return vars(self)[part]
+
+
+_PARTS = {
+    "walk": lambda plan: thread_profile(plan.core),
+    "reduction": lambda plan: _reduce(plan),
+    "layout": lambda plan: _lay_out(plan),
+    "tree": lambda plan: spanning_structure(plan.core),
+}
+
+
+# Two plans: a decide reads its graph's plan and then its reduced
+# component's, and every group of the order reads the same two, as do the
+# certificate checks and the naive cross-check of either graph.
+@functools.lru_cache(maxsize=2)
+def _plan(g: Digraph, k: int) -> _Plan:
+    return _Plan(g, k)
+
+
+class _Tables(NamedTuple):
+    """One group's read-only tables."""
+
+    add: np.ndarray  # the addition table as uint8 element indices: [a, b] is a + b
+    moves: tuple[tuple[np.ndarray, np.ndarray], ...]  # the move of an edge taking c: (column -c, column c) of add
+    signed: np.ndarray  # signed multiples as intp element indices: rows 0, 1, -1 hold 0, a, -a at [., a]
+    automorphisms: tuple[tuple[int, ...], ...]  # each a tuple of element indices: sigma[a]
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(group: Group) -> _Tables:
+    """The group's tables, built once per group.
+
+    An automorphism is fixed by the images of the cyclic factors'
+    generators, the i-th going to some x with f_i * x = 0; the candidates
+    that are bijections are kept.  When there are more than
+    AUT_CANDIDATE_LIMIT candidates (z2^4 and larger elementary groups),
+    only the identity and negation are kept: solve_sumset's pruning is
+    sound with any set of automorphisms.
+    """
+    k = group.order
+    add = np.array([[group.add(a, b) for b in range(k)] for a in range(k)], dtype=np.uint8)
+    signed = np.array([[0] * k, range(k), [group.neg(a) for a in range(k)]], dtype=np.intp)
+    add.flags.writeable = signed.flags.writeable = False
+    moves = tuple((add[:, group.neg(c)], add[:, c]) for c in range(k))
+    multiples = np.zeros((k, max(group.factors) + 1), dtype=np.intp)  # [x, d] is d * x
+    for d in range(1, multiples.shape[1]):
+        multiples[:, d] = add[multiples[:, d - 1], np.arange(k)]
+    images = [[x for x in range(k) if multiples[x, f] == 0] for f in group.factors]
+    auts = [tuple(range(k)), tuple(signed[2].tolist())]  # identity and negation
+    if math.prod(len(xs) for xs in images) <= AUT_CANDIDATE_LIMIT:
+        digits, auts = np.array([group.to_tuple(a) for a in range(k)], dtype=np.intp).T, []
+        for gens in itertools.product(*images):
+            sigma = np.zeros(k, dtype=np.intp)
+            for x, d in zip(gens, digits):
+                sigma = add[sigma, multiples[x, d]]
+            if len(set(sigma.tolist())) == k:
+                auts.append(tuple(sigma.tolist()))
+    return _Tables(add, moves, signed, tuple(dict.fromkeys(auts)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,76 +373,19 @@ def _reduction(g: Digraph, k: int) -> _Reduction:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _cayley(group: Group) -> np.ndarray:
-    """The group's addition table as uint8 element indices: [a, b] is a + b (read-only)."""
-    k = group.order
-    table = np.array([[group.add(a, b) for b in range(k)] for a in range(k)], dtype=np.uint8)
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=None)
-def _moves(group: Group) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The move of an edge taking c, for each element c: (column -c, column c) of the Cayley table (read-only)."""
-    table = _cayley(group)
-    return tuple((table[:, group.neg(c)], table[:, c]) for c in range(group.order))
-
-
-AUT_CANDIDATE_LIMIT = 4096
-
-
-@functools.lru_cache(maxsize=None)
-def _automorphisms(group: Group) -> tuple[tuple[int, ...], ...]:
-    """Automorphisms of the group, each a tuple of element indices: sigma[a].
-
-    An automorphism is fixed by the images of the cyclic factors'
-    generators, the i-th going to some x with f_i * x = 0; the candidates
-    that are bijections are kept.  When there are more than
-    AUT_CANDIDATE_LIMIT candidates (z2^4 and larger elementary groups),
-    only the identity and negation are returned: solve_sumset's pruning is
-    sound with any set of automorphisms.
-    """
-    k, add = group.order, _cayley(group)
-    multiples = np.zeros((k, max(group.factors) + 1), dtype=np.intp)  # [x, d] is d * x
-    for d in range(1, multiples.shape[1]):
-        multiples[:, d] = add[multiples[:, d - 1], np.arange(k)]
-    images = [[x for x in range(k) if multiples[x, f] == 0] for f in group.factors]
-    if math.prod(len(xs) for xs in images) > AUT_CANDIDATE_LIMIT:
-        return tuple(dict.fromkeys([tuple(range(k)), tuple(group.neg(a) for a in range(k))]))
-    digits = np.array([group.to_tuple(a) for a in range(k)], dtype=np.intp).T
-    out = []
-    for gens in itertools.product(*images):
-        sigma = np.zeros(k, dtype=np.intp)
-        for x, d in zip(gens, digits):
-            sigma = add[sigma, multiples[x, d]]
-        if len(set(sigma.tolist())) == k:
-            out.append(tuple(sigma.tolist()))
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=4096)
 def _fixers(group: Group, fixing: int, f: tuple[int, ...]) -> Optional[int]:
-    """Which automorphisms of the bit mask `fixing` (bit i: ``_automorphisms(group)[i]``) fix the set f.
+    """Which automorphisms of the bit mask `fixing` (bit i: ``_tables(group).automorphisms[i]``) fix the set f.
 
     None when one of them maps f to a lexicographically smaller set, else
     the mask of those that map f to itself.
     """
-    auts = _automorphisms(group)
+    auts = _tables(group).automorphisms
     members = [i for i in range(len(auts)) if fixing >> i & 1]
     images = [tuple(sorted(auts[i][x] for x in f)) for i in members]
     if min(images) < f:
         return None
     return sum(1 << i for i, image in zip(members, images) if image == f)
-
-
-@functools.lru_cache(maxsize=None)
-def _signed(group: Group) -> np.ndarray:
-    """Signed multiples as intp element indices: rows 0, 1 and -1 hold 0, a and -a at [., a] (read-only)."""
-    k = group.order
-    table = np.array([[0] * k, range(k), [group.neg(a) for a in range(k)]], dtype=np.intp)
-    table.flags.writeable = False
-    return table
 
 
 def _flow_rows(
@@ -372,18 +397,17 @@ def _flow_rows(
     come in the lexicographic order of their non-tree values (as in
     ``flows.iter_flows``), in chunks of at most ``rows`` (but at least one).
     Fundamental cycle c with value a is a lookup: row c of the signed cycle
-    matrix picks 0, a or -a per edge from ``_signed``.  The sums of the
+    matrix picks 0, a or -a per edge from ``signed``.  The sums of the
     trailing non-tree coordinates are built once, and a chunk adds one
     combination of the leading ones to all of them, each sum one ``take``
     from the flattened Cayley table with the left operand premultiplied
     by |G| (in intp: k * a + b reaches 4,095 at order 64).
     """
-    k, m = group.order, g.m
-    add = _cayley(group).reshape(-1)  # add[k * a + b] is a + b
+    k, m, signed = group.order, g.m, _tables(group).signed
+    add = _tables(group).add.reshape(-1)  # add[k * a + b] is a + b
     at = np.array([(c, e, sign) for c, cyc in enumerate(s.cycles) for e, sign in cyc], dtype=np.intp).reshape(-1, 3)
     signs = np.zeros((s.rank, m), dtype=np.int8)  # the signed cycle matrix
     signs[at[:, 0], at[:, 1]] = at[:, 2]
-    signed = _signed(group)
     tables = [k * signed[signs[c], np.asarray(vals, dtype=np.intp)[:, None]] for c, vals in enumerate(values)]
     split, low = len(tables), 1
     while split and low * len(tables[split - 1]) <= rows:
@@ -516,7 +540,7 @@ def _head(group: Group, h: int, pairs: tuple[tuple[int, int], ...]) -> _Cells:
     An edge takes every nonzero value, a set closed under negation, and sums
     commute, so solve_sumset keys this by the sorted pairs of sorted places.
     """
-    k, moves = group.order, _moves(group)[1:]
+    k, moves = group.order, _tables(group).moves[1:]
     cells = _Cells(k, h, np.ones((), dtype=np.uint64))
     for pair in pairs:
         cells = cells.with_edge(moves, pair)
@@ -528,7 +552,7 @@ def _head(group: Group, h: int, pairs: tuple[tuple[int, int], ...]) -> _Cells:
 @functools.lru_cache(maxsize=64)
 def _box(group: Group, j: int) -> _Cells:
     """Each of the k**j cells of places 1..j spread by every nonzero one-place move (read-only)."""
-    k, table = group.order, _cayley(group)
+    k, table = group.order, _tables(group).add
     spread = [(table[:, c],) for c in range(1, k)]
     box = _Cells(k, j, np.left_shift(np.uint64(1), np.arange(k**j, dtype=np.uint64)))
     for p in range(1, j + 1):
@@ -540,12 +564,6 @@ def _box(group: Group, j: int) -> _Cells:
 # ---------------------------------------------------------------------------
 # engines
 # ---------------------------------------------------------------------------
-
-
-def _without_loops(g: Digraph) -> tuple[list[int], Digraph]:
-    """Ids of the non-loop edges of g, and g with its loops removed."""
-    core = [i for i, (u, v) in enumerate(g.edges) if u != v]
-    return core, Digraph(g.n, tuple(g.edges[i] for i in core))
 
 
 def _place(m: int, positions: Sequence[int], values: Sequence[int]) -> EdgeVector:
@@ -569,8 +587,8 @@ def avoiding_flow(g: Digraph, group: Group, h: Sequence[int]) -> Optional[EdgeVe
     for v in h:
         group.check(v)
     # a flow puts arbitrary values on loops, so loops never block one
-    core, gg = _without_loops(g)
-    s = spanning_structure(gg)
+    plan = _plan(g, group.order)
+    core, gg, s = plan.core_ids, plan.core, plan.tree
     hc = np.array([h[e] for e in core], dtype=np.uint8)
     values = [[a for a in range(group.order) if a != hc[e]] for e in s.nontree_edges]
     checked = 0
@@ -594,12 +612,7 @@ def verify_certificate(g: Digraph, group: Group, h: Sequence[int]) -> bool:
 
 def _digits_of(index: int, k: int, width: int) -> list[int]:
     """Big-endian digits (position 0 most significant) of an enumeration index."""
-    out = []
-    for _ in range(width):
-        out.append(index % k)
-        index //= k
-    out.reverse()
-    return out
+    return [int(x) for x in np.unravel_index(index, (k,) * width)]
 
 
 def _first_unavoidable(
@@ -622,8 +635,7 @@ def _first_unavoidable(
     k, d = group.order, len(positions)
     inside = set(positions)
     values = [range(k) if e in inside else range(1, k) for e in s.nontree_edges]
-    table = _cayley(group)
-    spread = [(table[:, c],) for c in range(1, k)]
+    spread = [(column,) for _, column in _tables(group).moves[1:]]  # every nonzero one-place move
     j = min(d, _layout(k, 0)[0])
     box = _box(group, j)
     avoided = _Cells(k, d, np.zeros((k,) * (d - j), dtype=np.uint64))
@@ -649,14 +661,13 @@ def solve_ultra_naive(g: Digraph, group: Group) -> Verdict:
     t0 = time.perf_counter()
     if k**g.m > ULTRA_NAIVE_LIMIT:
         raise ValueError(f"|G|^m = {k}**{g.m} exceeds the ultra-naive limit")
-    core, gg = _without_loops(g)
-    s = spanning_structure(gg)
-    stats = {"mappings_enumerated": 0, "flows": k**s.rank}
-    bad = _first_unavoidable(gg, group, s, range(gg.m), stats)
+    plan = _plan(g, k)
+    stats = {"mappings_enumerated": 0, "flows": k**plan.tree.rank}
+    bad = _first_unavoidable(plan.core, group, plan.tree, range(plan.core.m), stats)
     stats["elapsed"] = time.perf_counter() - t0
     if bad is None:
         return Verdict(g, group, True, None, "ultra-naive", stats)
-    return Verdict(g, group, False, _place(g.m, core, bad), "ultra-naive", stats)
+    return Verdict(g, group, False, _place(g.m, plan.core_ids, bad), "ultra-naive", stats)
 
 
 def solve_naive(g: Digraph, group: Group) -> Verdict:
@@ -669,7 +680,7 @@ def solve_naive(g: Digraph, group: Group) -> Verdict:
         raise ValueError("solve_naive requires a loop-free graph")
     k = group.order
     t0 = time.perf_counter()
-    s = spanning_structure(g)
+    s = _plan(g, k).tree
     tree = s.tree_edges
     total = k ** len(tree)
     if total > NAIVE_KEY_LIMIT:
@@ -977,32 +988,21 @@ def _tree_mapping(g: Digraph, group: Group, root: int, beta: Sequence[int]) -> E
     return tuple(h)
 
 
-class _SumsetPlan(NamedTuple):
-    """solve_sumset's layout of one graph for one group order, without the group's arithmetic."""
+def _lay_out(plan: _Plan) -> tuple:
+    """solve_sumset's layout of the plan's graph: (order, h, head, joins, threads, contracted).
 
-    order: tuple[int, ...]  # the vertex at each place, from _elimination_order
-    total: int  # boundaries, k ** (places - 1)
-    h: int  # the places 1..h that fit one word
-    head: tuple[tuple[int, int], ...]  # sorted place pairs of the plain edges among places 0..h
-    joins: tuple[tuple[tuple[int, int], ...], ...]  # place pairs of the plain edges that join at place h+1, h+2, ..
-    threads: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]  # (end places, inner vertices) per contracted thread
-    contracted: int  # threads contracted, those from a vertex back to itself included
-
-
-@functools.lru_cache(maxsize=2)
-def _sumset_plan(g: Digraph, k: int) -> _SumsetPlan:
-    """The places, joins and contracted threads of g for groups of order k (read-only).
-
-    Memoized by graph value and order, so the decides of one graph over
-    the groups of one order share it.
+    The vertex at each place; the places 1..h in one word; the place pairs
+    of the head's plain edges; the pairs joining at h+1, h+2, ..; (end
+    places, inner vertices) per contracted thread between two vertices; the
+    number of threads contracted, those from a vertex back to itself too.
     """
-    _, core = _without_loops(g)
-    contracted = [t for t in thread_profile(core).threads if 2 <= len(t) <= k - 1]
+    k, core = plan.k, plan.core
+    contracted = [t for t in plan.walk.threads if 2 <= len(t) <= k - 1]
     inner = {x for t in contracted for x in t.inner}
     # (u, v, inner vertices) of the contracted threads that are not loops
     threads = [(t.tail_anchor, t.head_anchor, t.inner) for t in contracted if t.tail_anchor != t.head_anchor]
     plain = [(u, v) for u, v in core.edges if u not in inner and v not in inner]
-    keep = [x for x in range(g.n) if x not in inner]
+    keep = [x for x in range(core.n) if x not in inner]
     local = {x: i for i, x in enumerate(keep)}
     branch_graph = Digraph(len(keep), tuple((local[u], local[v]) for u, v, *_ in plain + threads))
     order = tuple(keep[i] for i in _elimination_order(branch_graph))
@@ -1012,9 +1012,8 @@ def _sumset_plan(g: Digraph, k: int) -> _SumsetPlan:
     for u, v in plain:
         joins[max(place[u], place[v])].append((place[u], place[v]))
     h = min(_layout(k, 0)[0], n - 1)
-    return _SumsetPlan(
+    return (
         order,
-        k ** (n - 1),
         h,
         tuple(sorted(tuple(sorted(pair)) for t in range(1, h + 1) for pair in joins[t])),
         tuple(tuple(pairs) for pairs in joins[h + 1 :]),
@@ -1043,8 +1042,8 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
     added last as an edge uv with values outside F, branching depth first
     over every F of 0 and L-1 distinct nonzero values (a thread from v to
     v adds nothing and is dropped).  The places, joins and contracted
-    threads depend only on g and |G|: they come from the memo
-    ``_sumset_plan``, which the decides of g over every group of one order
+    threads depend only on g and |G|: they are the ``layout`` of g's
+    ``_plan``, which the decides of g over every group of one order
     share.  An automorphism sigma of G maps the leaf for F1, F2, .. onto
     the leaf for sigma F1, sigma F2, .., so a choice of F is skipped when
     an automorphism fixing the F chosen before it maps it to a
@@ -1059,21 +1058,21 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
     """
     t0 = time.perf_counter()
     k = group.order
-    plan = _sumset_plan(g, k)
-    order, threads, n = plan.order, plan.threads, len(plan.order)
-    if plan.total > SUMSET_LIMIT:
+    order, h, head, joins, threads, contracted = _plan(g, k).layout
+    n, total = len(order), k ** (len(order) - 1)
+    if total > SUMSET_LIMIT:
         raise ValueError(f"boundary array |G|**{n - 1} exceeds the sumset-engine limit")
-    moves = _moves(group)
-    nonzero = moves[1:]
+    tables = _tables(group)
+    moves, nonzero = tables.moves, tables.moves[1:]
     stats = {
-        "boundaries_total": plan.total,
-        "edges_added": len(plan.head),
-        "threads_contracted": plan.contracted,
+        "boundaries_total": total,
+        "edges_added": len(head),
+        "threads_contracted": contracted,
         "thread_branches": 0,
         "symmetric_skips": 0,
     }
-    reached = _head(group, plan.h, plan.head)
-    for t, pairs in enumerate(plan.joins, plan.h + 1):
+    reached = _head(group, h, head)
+    for t, pairs in enumerate(joins, h + 1):
         reached = reached.grown()
         for pair in pairs:
             reached = reached.with_edge(nonzero, pair)
@@ -1105,9 +1104,9 @@ def solve_sumset(g: Digraph, group: Group) -> Verdict:
                 return found[0], [f] + found[1]
         return None
 
-    found = branch(0, reached, (1 << len(_automorphisms(group))) - 1)
+    found = branch(0, reached, (1 << len(tables.automorphisms)) - 1)
     if found is None:
-        stats.update(boundaries_reached=plan.total, elapsed=time.perf_counter() - t0)
+        stats.update(boundaries_reached=total, elapsed=time.perf_counter() - t0)
         return Verdict(g, group, True, None, "sumset", stats)
     leaf, chosen = found
     stats["boundaries_reached"] = leaf.count()

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import random
+import time
 
 import networkx as nx
 import pytest
@@ -186,6 +188,43 @@ def test_distinct_edges_only_filter():
 
     assert len(_tasks([K4], cfg_all)) == 21
     assert len(_tasks([K4], cfg_distinct)) == 15  # C(6,2)
+    # built from combinations, the distinct-edge list is the multiset list
+    # without the count vectors that repeat an edge, in the same order
+    bases = [CUBE, load_bases(os.path.join(DATA_DIR, "cubic12.g6"))[0]]
+    for order in ("sequential", "random"):
+        cfg = SearchConfig(added=range(1, 5), order=order, seed=7, distinct_edges_only=True)
+        filtered = [
+            SearchTask(bi, base, counts)
+            for bi, base in enumerate(bases)
+            for added in cfg.added
+            for counts in subdivision_multisets(base.m, added)
+            if max(counts) <= 1
+        ]
+        if order == "random":
+            random.Random(cfg.seed).shuffle(filtered)
+        assert _tasks(bases, cfg) == filtered, order
+    # 14.7 million multisets of 13 to 15 cube edges, none of them on distinct edges, and none walked
+    t0 = time.perf_counter()
+    assert _tasks([CUBE], SearchConfig(added=range(13, 16), distinct_edges_only=True)) == []
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_a_candidate_builds_one_spanning_structure_per_graph(monkeypatch):
+    # the certificate checks of both decides, the witness's re-verification
+    # and the naive cross-check all read the spanning structure of one plan
+    from groupconn import solver
+    from groupconn.search import _examine
+
+    built = []
+    spanning_structure = solver.spanning_structure
+    monkeypatch.setattr(solver, "spanning_structure", lambda g: built.append(g) or spanning_structure(g))
+    witness, no_no = (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), (1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+    for counts, found in ((witness, True), (no_no, False)):
+        solver._plan.cache_clear()
+        built.clear()
+        task = SearchTask(0, CUBE, counts)
+        assert (_examine(task, Z4, Z2xZ2) is not None) == found
+        assert built == [task.build()], counts
 
 
 def test_soundness_failure_is_fatal(monkeypatch, capsys):

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import groupconn.graphs
 from groupconn import solver
 from groupconn.flows import find_satisfying_flow, iter_flows, spanning_structure
 from groupconn.graphs import Digraph, structure_report, subdivide, thread_profile
@@ -462,8 +463,8 @@ AUT_COUNTS = {"z3": 2, "z4": 2, "z2^2": 6, "z5": 4, "z6": 2, "z7": 6, "z8": 4, "
 def test_automorphisms_of_the_small_groups():
     for spec, count in AUT_COUNTS.items():
         group = parse_group(spec)
-        k, add = group.order, solver._cayley(group)
-        auts = solver._automorphisms(group)
+        tables = solver._tables(group)
+        k, add, auts = group.order, tables.add, tables.automorphisms
         assert len(auts) == len(set(auts)) == count, spec
         assert tuple(range(k)) in auts, spec
         for sigma in auts:
@@ -475,9 +476,9 @@ def test_automorphisms_of_the_small_groups():
 def test_automorphisms_of_large_groups_return_quickly():
     for spec, count in (("z64", 32), ("z2^6", 1)):  # z2^6 has 64^6 candidates: only identity (= negation)
         group = parse_group(spec)
-        solver._automorphisms.cache_clear()
+        solver._tables.cache_clear()
         t0 = time.perf_counter()
-        auts = solver._automorphisms(group)
+        auts = solver._tables(group).automorphisms  # a cold build of every table of the group
         assert time.perf_counter() - t0 < 1.0, spec
         assert len(auts) == count and tuple(range(group.order)) in auts, spec
 
@@ -489,7 +490,7 @@ def subdivided(g, counts):
     return g
 
 
-def test_automorphism_pruning_keeps_verdicts_and_certificates(monkeypatch):
+def test_automorphism_pruning_keeps_verdicts_and_certificates(monkeypatch, request):
     # thread-heavy graphs with a NO for each of the orders 3, 4, 5 and 8;
     # K4's edge order is 01 02 03 12 13 23, and the order-8 NOs on K4 skip
     # branches before their certificate is found
@@ -511,7 +512,15 @@ def test_automorphism_pruning_keeps_verdicts_and_certificates(monkeypatch):
     ]
     runs = [(g, parse_group(spec)) for g, specs in cases for spec in specs]
     pruned = [solve_sumset(g, group) for g, group in runs]
-    monkeypatch.setattr(solver, "_automorphisms", lambda group: (tuple(range(group.order)),))
+    tables = solver._tables
+
+    def identity_only(group):
+        return tables(group)._replace(automorphisms=(tuple(range(group.order)),))
+
+    monkeypatch.setattr(solver, "_tables", identity_only)
+    # _fixers masks index the automorphisms, so none of its entries may outlive either list
+    solver._fixers.cache_clear()
+    request.addfinalizer(solver._fixers.cache_clear)
     for (g, group), v in zip(runs, pruned):
         w = solve_sumset(g, group)
         assert (v.connected, v.certificate) == (w.connected, w.certificate), (g, group.spec_string())
@@ -607,7 +616,7 @@ def test_packed_cells_match_bool_arrays(spec):
 def test_cached_head_matches_the_edge_by_edge_build(spec):
     group = parse_group(spec)
     k, j = group.order, solver._layout(group.order, 0)[0]
-    table = solver._cayley(group)
+    table = solver._tables(group).add
     moves = [(table[:, group.neg(c)], table[:, c]) for c in range(1, k)]
     rng = random.Random(f"head {spec}")
     for _ in range(30):
@@ -688,25 +697,25 @@ def test_auto_checks_the_sumset_limit_per_reduced_component(monkeypatch):
     assert (v.connected, v.certificate) == (want.connected, want.certificate)
 
 
-STRUCTURE_MEMOS = (thread_profile, solver._reduction, solver._sumset_plan)
-GROUP_MEMOS = (solver._cayley, solver._moves, solver._automorphisms, solver._fixers, solver._signed, solver._head, solver._box)
-
-
 def clear_memos():
-    for memo in STRUCTURE_MEMOS + GROUP_MEMOS:
+    """Clear every cache of the solver and the graph layer, found by introspection so none is left out."""
+    memos = {f for module in (solver, groupconn.graphs) for f in vars(module).values() if hasattr(f, "cache_clear")}
+    assert {solver._plan, solver._tables} <= memos
+    for memo in memos:
         memo.cache_clear()
 
 
-def test_decides_of_one_graph_share_one_thread_walk():
-    # preprocess's last round and the sumset plan share one walk of the
-    # core; the second group of the order reuses both plans and walks nothing
+def test_decides_of_one_graph_share_one_thread_walk(monkeypatch):
+    # preprocess's last round and the sumset layout share one walk of the
+    # core; the second group of the order reuses the plan and walks nothing
+    walks = []
+    monkeypatch.setattr(solver, "thread_profile", lambda g: walks.append(g) or thread_profile(g))
     clear_memos()
     g = subdivide(CUBE, 0)
     for group in (Z4, Z2xZ2):
         decide(g, group)
-    for memo in STRUCTURE_MEMOS:
-        info = memo.cache_info()
-        assert (info.misses, info.hits) == (1, 1), memo
+    assert walks == [g]
+    assert solver._plan.cache_info().misses == 1
 
 
 def reversed_edges(g, edges):
@@ -715,28 +724,40 @@ def reversed_edges(g, edges):
 
 def test_structure_memos_never_carry_one_groups_arithmetic_into_another():
     # Z4's neg(1) is 3 and Z2^2's is 1, so a reversed edge on a pigeonhole
-    # path or a forced thread gets a different value in each certificate
+    # path or a forced thread gets a different value in each certificate;
+    # the order-8 graph deletes a saturated 7-edge thread and is NO over
+    # three groups with three certificates, all from one plan's reduction
     k4 = complete_graph(4)
     triangles = Digraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)))
     thread4 = reversed_edges(subdivide(k4, 0, 3), {6, 8})  # the thread is edges 0, 6, 7, 8
     cycle4 = Digraph(8, k4.edges + ((4, 5), (6, 5), (6, 7), (4, 7)))
     forced = reversed_edges(subdivide(PETERSEN, 0, 2), {0})  # a saturated thread: edges 0, 15, 16
-    graphs = {"bridge": triangles, "thread4": thread4, "cycle4": cycle4, "forced": forced, "petersen": PETERSEN}
+    order4, order8 = (Z4, Z2xZ2), tuple(parse_group(spec) for spec in ("z8", "c:2,4", "z2^3"))
+    graphs = {
+        "bridge": (triangles, order4),
+        "thread4": (thread4, order4),
+        "cycle4": (cycle4, order4),
+        "forced": (forced, order4),
+        "petersen": (PETERSEN, order4),
+        "forced8": (subdivided(k4, [5, 5, 1, 0, 6, 2]), order8),  # two saturated 7-edge threads, then an 11-cycle
+    }
     want = {}
-    for name, g in graphs.items():
-        for group in (Z4, Z2xZ2):
+    for name, (g, groups) in graphs.items():
+        for group in groups:
             clear_memos()
             want[name, group] = decide(g, group)
             assert not want[name, group].connected, (name, group.spec_string())
     for name in ("thread4", "cycle4", "forced"):
         assert want[name, Z4].certificate != want[name, Z2xZ2].certificate, name
-    assert not any(column.flags.writeable for move in solver._moves(Z4) for column in move)
+    assert len({want["forced8", group].certificate for group in order8}) == 3
+    assert not any(column.flags.writeable for move in solver._tables(Z4).moves for column in move)
     assert "deleted saturated thread of length 3" in want["forced", Z4].preprocessing
+    assert "deleted saturated thread of length 7" in want["forced8", order8[0]].preprocessing
     assert want["forced", Z4].algorithm == "sumset" and want["petersen", Z4].algorithm == "sumset"
-    for name, g in graphs.items():
-        for groups in ((Z4, Z2xZ2), (Z2xZ2, Z4)):
+    for name, (g, groups) in graphs.items():
+        for rotation in (groups, groups[1:] + groups[:1]):
             clear_memos()
-            for group in groups:
+            for group in rotation:
                 v = decide(g, group)
                 assert verify_certificate(g, group, v.certificate), (name, group.spec_string())
                 w = want[name, group]
