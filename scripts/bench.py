@@ -17,8 +17,9 @@ process, with ``decide`` (auto) over z4 and z2^2:
   seconds per group and the process's peak RSS;
 * the census probe: the first 100 tasks of the seed-7, distinct-edge,
   added = 3 search of ``data/cubic12_all.g6`` (4^11-cell boundary
-  arrays), with the milliseconds and minor page faults per decide and
-  the process's peak RSS.
+  arrays), with the milliseconds and minor page faults per decide, the
+  process's peak RSS once the task list and graphs are built, and its
+  peak RSS at the end.
 
 The record goes to BENCH_<label>.json in this checkout's root.  Exit
 status 2 means a run failed to produce its result line.
@@ -81,6 +82,7 @@ def census_probe(root: Path) -> None:
         "yes": yes,
         "ms_per_decide": 1e3 * seconds / decides,
         "minflt_per_decide": (after.ru_minflt - before.ru_minflt) / decides,
+        "rss_before_decides_mb": before.ru_maxrss / 1024.0,
         "peak_rss_mb": after.ru_maxrss / 1024.0,
     }))
 
@@ -186,7 +188,8 @@ def main(argv=None) -> int:
                 "connected": [f[group]["connected"] for f in fx],
             }
         cs = censuses[side]
-        out["census"] = {key: summary([c[key] for c in cs]) for key in ("ms_per_decide", "minflt_per_decide", "peak_rss_mb")}
+        keys = ("ms_per_decide", "minflt_per_decide", "rss_before_decides_mb", "peak_rss_mb")
+        out["census"] = {key: summary([c[key] for c in cs]) for key in keys}
         out["census"] |= {"decides": cs[0]["decides"], "yes": [c["yes"] for c in cs]}
         record["sides"][side] = out
     if args.parent:

@@ -22,9 +22,15 @@ On the cube subdivisions with 1 and 2 added vertices it also runs
 default ``auto`` and with ``--algo naive``, one parser reused across all
 calls, and records the exit code and the verdict's ``connected``,
 ``algorithm``, ``certificate`` and ``preprocessing`` fields (not its
-timings); and it records their ``decide`` (auto) verdict and certificate
+timings); it records their ``decide`` (auto) verdict and certificate
 over the order-8 groups z8, c:2,4 and z2^3, whose automorphism groups
-(4, 8 and 168 elements) are the largest the sumset engine prunes by.
+(4, 8 and 168 elements) are the largest the sumset engine prunes by; and
+it records their ``decide`` (auto) verdict, certificate and every count in
+``stats`` over z2, z9 and z3^2, whose bit arrays hold 6 and 1 places to a
+word where the other groups hold 3 or 2.  Over z2 every subdivided graph
+is a NO in ``preprocess`` (a thread of two edges), so ``solve_sumset``
+and ``solve_naive`` also run on them directly over z2, with the same
+record.
 Last, it records the ``decide`` (auto) verdict and certificate over z4
 and z2^2 of a census slice: the first 200 tasks of the seed-7,
 distinct-edge, added = 3 search of ``data/cubic12_all.g6``, whose
@@ -56,6 +62,7 @@ from pathlib import Path
 
 GROUPS = ("z3", "z4", "z2^2")
 ORDER8 = ("z8", "c:2,4", "z2^3")  # decided with auto on the CLI_ADDED cube subdivisions
+WIDE = ("z2", "z9", "z3^2")  # likewise, with stats: 6 places to a word for z2, 1 for order 9
 RANDOM_GRAPHS = 1500
 FAST_RANDOM = 300  # the fast slice: this many random graphs, then the cube subdivisions
 FAST_CUBE = 40
@@ -84,7 +91,7 @@ def outputs(root: Path):
     from groupconn.graphs import CUBE, Digraph, structure_report, subdivide, thread_profile
     from groupconn.groups import parse_group
     from groupconn.search import SearchConfig, _tasks, load_bases, subdivision_multisets
-    from groupconn.solver import avoiding_flow, decide, preprocess
+    from groupconn.solver import avoiding_flow, decide, preprocess, solve_naive, solve_sumset
 
     corpus = [(f"random {i}", Digraph(n, edges)) for i, (n, edges) in enumerate(random_corpus())]
     for added in (1, 2, 3):
@@ -123,8 +130,8 @@ def outputs(root: Path):
         v = decide(g, group, algorithm, use_preprocessing, thread_opt)
         return [v.connected, None if v.certificate is None else list(v.certificate)]
 
-    def counted_verdict(g, group):
-        v = decide(g, group)
+    def counted_verdict(g, group, solve=decide):
+        v = solve(g, group)
         counts = {key: val for key, val in v.stats.items() if not key.startswith("elapsed")}
         return [v.connected, None if v.certificate is None else list(v.certificate), counts]
 
@@ -151,6 +158,10 @@ def outputs(root: Path):
         if name.startswith(cli_corpus):
             for spec in ORDER8:
                 yield f"{name} decide {spec} auto", guarded(verdict, g, parse_group(spec), "auto")
+            for spec in WIDE:
+                yield f"{name} decide {spec} auto, counted", guarded(counted_verdict, g, parse_group(spec))
+            for solve in (solve_sumset, solve_naive):
+                yield f"{name} {solve.__name__} z2", guarded(counted_verdict, g, parse_group("z2"), solve)
         yield f"{name} structure_report", guarded(report, g)
         yield f"{name} thread_profile", guarded(threads, g)
         rng = random.Random(name)

@@ -92,10 +92,10 @@ def parse_graph6(text: str) -> Digraph:
     endpoint, listed in graph6 upper-triangle bit order.
     """
     s = text.strip()
-    if not s:
-        raise GraphParseError("empty graph6 input")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
+    if not s:
+        raise GraphParseError("empty graph6 input")
     data = s.encode("ascii", errors="strict") if isinstance(s, str) else s
     first = data[0]
     if first == 126:

@@ -43,8 +43,10 @@ without preprocessing, else sumset on every reduced component.
 One read-only plan per graph value and order (``_plan``) holds the thread
 walk, preprocess's reduction, the sumset layout and the spanning structure
 every flow check reads; one read-only table set per group (``_tables``)
-holds the Cayley table, edge moves, signed multiples and automorphisms.
-So a decide computes only its group's values and does its array work.
+holds the Cayley table, signed multiples, automorphisms and the bit
+array's word layout, element moves and naive's boxes.  So a decide
+computes only its group's values and does its array work.  With the
+bounded ``_head`` and ``_fixers`` they are the solver's only memos.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import numpy as np
 from ._pack import Packer
 from .classes import ClassFunction
 from .flows import EdgeVector, SpanningStructure, spanning_structure
-from .graphs import CycleComponent, Digraph, Thread, structure_report, thread_profile
+from .graphs import CycleComponent, Digraph, Thread, ThreadProfile, structure_report, thread_profile
 from .groups import Group
 
 ULTRA_NAIVE_LIMIT = 10**8  # cap on |G|^m work items
@@ -292,11 +294,10 @@ class _Plan:
     """What the decides of one graph over the groups of one order share (read-only).
 
     ``core`` is the graph without its loops, ``core_ids`` the ids of its
-    edges.  The other parts are built on first use by ``__getattr__`` from
-    ``_PARTS`` (whose lambdas resolve what they call only then) and kept:
-    ``walk``, the core's thread walk; ``reduction``, preprocess's outcome
-    without the group's arithmetic; ``layout``, solve_sumset's places,
-    joins and contracted threads; ``tree``, the core's spanning structure.
+    edges.  The other parts are built on first use and kept: ``walk``, the
+    core's thread walk; ``reduction``, preprocess's outcome without the
+    group's arithmetic; ``layout``, solve_sumset's places, joins and
+    contracted threads; ``tree``, the core's spanning structure.
     """
 
     def __init__(self, g: Digraph, k: int):
@@ -304,19 +305,21 @@ class _Plan:
         self.core_ids = tuple(i for i, (u, v) in enumerate(g.edges) if u != v)
         self.core = g if len(self.core_ids) == g.m else Digraph(g.n, tuple(g.edges[i] for i in self.core_ids))
 
-    def __getattr__(self, part: str):
-        if part not in _PARTS:
-            raise AttributeError(part)
-        setattr(self, part, _PARTS[part](self))
-        return vars(self)[part]
+    @functools.cached_property
+    def walk(self) -> ThreadProfile:
+        return thread_profile(self.core)
 
+    @functools.cached_property
+    def reduction(self) -> tuple:
+        return _reduce(self)
 
-_PARTS = {
-    "walk": lambda plan: thread_profile(plan.core),
-    "reduction": lambda plan: _reduce(plan),
-    "layout": lambda plan: _lay_out(plan),
-    "tree": lambda plan: spanning_structure(plan.core),
-}
+    @functools.cached_property
+    def layout(self) -> tuple:
+        return _lay_out(self)
+
+    @functools.cached_property
+    def tree(self) -> SpanningStructure:
+        return spanning_structure(self.core)
 
 
 # Two plans: a decide reads its graph's plan and then its reduced
@@ -327,13 +330,44 @@ def _plan(g: Digraph, k: int) -> _Plan:
     return _Plan(g, k)
 
 
+def _word_places(k: int) -> int:
+    """j, the largest with k**j <= 64: the places of a ``_Cells`` array that are bits of one word."""
+    return max(j for j in range(1, 7) if k**j <= 64)
+
+
+class _Move(NamedTuple):
+    """The move of a ``_Cells`` axis by one element c: out[.., x, ..] = cells[.., x + c, ..] (read-only)."""
+
+    column: np.ndarray  # column c of the addition table, taken along an outer axis
+    kernels: tuple[tuple, ...]  # [p - 1] moves in-word place p, of stride k**(p-1) (see _kernel)
+
+
 class _Tables(NamedTuple):
     """One group's read-only tables."""
 
     add: np.ndarray  # the addition table as uint8 element indices: [a, b] is a + b
-    moves: tuple[tuple[np.ndarray, np.ndarray], ...]  # the move of an edge taking c: (column -c, column c) of add
+    moves: tuple[tuple[_Move, _Move], ...]  # the move of an edge taking c: (move by -c, move by c)
     signed: np.ndarray  # signed multiples as intp element indices: rows 0, 1, -1 hold 0, a, -a at [., a]
     automorphisms: tuple[tuple[int, ...], ...]  # each a tuple of element indices: sigma[a]
+    j: int  # _word_places of the order
+    full: tuple[np.ndarray, ...]  # [i] is the word of the k**i live cells of i <= j in-word axes
+    spread: tuple[tuple[_Move], ...]  # every nonzero one-place move
+    boxes: tuple[np.ndarray, ...]  # [i]: naive's box, each of the k**i cells of places 1..i spread along all i
+
+
+def _kernel(column: np.ndarray, stride: int, bits: int) -> tuple:
+    """One (shift, by, mask) step per source-to-target offset moving the in-word axis of this stride by column."""
+    k, masks = len(column), {}
+    for b in range(bits):
+        x = (b // stride) % k
+        off = (int(column[x]) - x) * stride  # > 0: the source is the higher bit
+        masks[off] = masks.get(off, 0) | 1 << b  # the target cells, of the word's first `bits`, the offset serves
+    steps = []
+    for off, bit_mask in masks.items():  # 0-d arrays: ufuncs take them faster than numpy scalars
+        by, mask = np.array(abs(off), np.uint64), np.array(bit_mask, np.uint64)
+        by.flags.writeable = mask.flags.writeable = False
+        steps.append((np.right_shift if off > 0 else np.left_shift, by, mask))
+    return tuple(steps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -347,11 +381,13 @@ def _tables(group: Group) -> _Tables:
     only the identity and negation are kept: solve_sumset's pruning is
     sound with any set of automorphisms.
     """
-    k = group.order
+    k, j = group.order, _word_places(group.order)
     add = np.array([[group.add(a, b) for b in range(k)] for a in range(k)], dtype=np.uint8)
     signed = np.array([[0] * k, range(k), [group.neg(a) for a in range(k)]], dtype=np.intp)
-    add.flags.writeable = signed.flags.writeable = False
-    moves = tuple((add[:, group.neg(c)], add[:, c]) for c in range(k))
+    full = tuple(np.array((1 << k**i) - 1, dtype=np.uint64) for i in range(j + 1))
+    for table in (add, signed, *full):
+        table.flags.writeable = False
+    by_element = tuple(_Move(add[:, c], tuple(_kernel(add[:, c], k**p, k**j) for p in range(j))) for c in range(k))
     multiples = np.zeros((k, max(group.factors) + 1), dtype=np.intp)  # [x, d] is d * x
     for d in range(1, multiples.shape[1]):
         multiples[:, d] = add[multiples[:, d - 1], np.arange(k)]
@@ -365,7 +401,17 @@ def _tables(group: Group) -> _Tables:
                 sigma = add[sigma, multiples[x, d]]
             if len(set(sigma.tolist())) == k:
                 auts.append(tuple(sigma.tolist()))
-    return _Tables(add, moves, signed, tuple(dict.fromkeys(auts)))
+    moves = tuple((by_element[group.neg(c)], by_element[c]) for c in range(k))
+    spread = tuple((move,) for move in by_element[1:])
+    tables = _Tables(add, moves, signed, tuple(dict.fromkeys(auts)), j, full, spread, ())  # the boxes follow
+    boxes = []
+    for i in range(j + 1):
+        box = _Cells(tables, i, np.left_shift(np.uint64(1), np.arange(k**i, dtype=np.uint64)))
+        for p in range(1, i + 1):
+            box = box.with_edge(tables.spread, (p,))
+        box.words.flags.writeable = False
+        boxes.append(box.words)
+    return tables._replace(boxes=tuple(boxes))
 
 
 # ---------------------------------------------------------------------------
@@ -423,80 +469,46 @@ def _flow_rows(
         yield add.take(k * lead.astype(np.intp) + sums)
 
 
-@functools.lru_cache(maxsize=None)
-def _layout(k: int, axes: int) -> tuple[int, np.ndarray]:
-    """j, the largest with k**j <= 64, and the word of all live cells of a (k,) * axes array."""
-    j = 1
-    while k ** (j + 1) <= 64:
-        j += 1
-    return j, np.array((1 << k ** min(axes, j)) - 1, dtype=np.uint64)
-
-
-_BIT_MOVES: dict[tuple[bytes, int], list[tuple[np.ufunc, np.ndarray, np.ndarray]]] = {}
-
-
-def _moved_bits(words: np.ndarray, index: np.ndarray, stride: int) -> np.ndarray:
-    """out[.., x, ..] = words[.., index[x], ..] along the in-word axis of the given stride.
-
-    One shift and one AND per source-to-target offset, the mask keeping the
-    target cells, among the k**j live bits, that the offset serves; the
-    (shift, mask) lists are built once per move and stride.
-    """
-    key = (index.tobytes(), stride)
-    if key not in _BIT_MOVES:
-        k = len(index)
-        masks: dict[int, int] = {}
-        for b in range(k ** _layout(k, 0)[0]):
-            x = (b // stride) % k
-            off = (int(index[x]) - x) * stride  # > 0: the source is the higher bit
-            masks[off] = masks.get(off, 0) | 1 << b
-        _BIT_MOVES[key] = [
-            (np.right_shift if o > 0 else np.left_shift, np.array(abs(o), np.uint64), np.array(m, np.uint64))
-            for o, m in masks.items()
-        ]
-    (shift, by, mask), *rest = _BIT_MOVES[key]
-    out = shift(words, by)
-    out &= mask
-    for shift, by, mask in rest:
-        part = shift(words, by)
-        part &= mask
-        out |= part
-    return out
-
-
 class _Cells:
     """A bool array of shape (k,) * axes in C order, 64 cells to a uint64 word.
 
-    The innermost min(axes, j) axes (``_layout``) are the bits of one word,
-    the last axis the least significant digit; the outer axes are the axes
-    of ``words``.  Bits past the k**min(axes, j) live cells stay 0.  Axes
-    are named by place: place p >= 1 owns axis ``axes - p``, so places
-    1..j are in the word, with stride k**(p-1), and place 0 owns no axis.
+    The innermost min(axes, j) axes (j of the group's ``_tables``) are the
+    bits of one word, the last axis the least significant digit; the outer
+    axes are the axes of ``words``.  Bits past the k**min(axes, j) live
+    cells stay 0.  Axes are named by place: place p >= 1 owns axis
+    axes - p, so places 1..j are in the word, and place 0 owns no axis.
     """
 
-    def __init__(self, k: int, axes: int, words: np.ndarray):
-        self.k, self.axes, self.words = k, axes, words
-        self.j, self.full = _layout(k, axes)
+    def __init__(self, tables: _Tables, axes: int, words: np.ndarray):
+        self.tables, self.axes, self.words = tables, axes, words
+        self.k, self.j, self.full = len(tables.add), tables.j, tables.full[min(axes, tables.j)]
 
     def grown(self) -> _Cells:
         """One more axis, in front; every cell set so far gets digit 0 on it."""
         if self.axes < self.j:  # digit 0 of a new in-word axis leaves every bit in place
-            return _Cells(self.k, self.axes + 1, self.words)
+            return _Cells(self.tables, self.axes + 1, self.words)
         words = np.zeros((self.k,) + self.words.shape, dtype=np.uint64)
         words[0] = self.words
-        return _Cells(self.k, self.axes + 1, words)
+        return _Cells(self.tables, self.axes + 1, words)
 
-    def shifted(self, move: tuple[np.ndarray, ...], places: tuple[int, ...]) -> np.ndarray:
-        """Words of self moved by move: out[.., x_p, ..] = self[.., move[i][x_p], ..] at p = places[i].
+    def shifted(self, move: tuple[_Move, ...], places: tuple[int, ...]) -> np.ndarray:
+        """Words of self moved by move: out[.., x_p, ..] = self[.., move[i].column[x_p], ..] at p = places[i].
 
         A new array; at most one place may be 0 (no axis).
         """
         words = self.words
-        for index, p in zip(move, places):
+        for one, p in zip(move, places):
             if p > self.j:
-                words = words.take(index, axis=self.axes - p)
-            elif p:
-                words = _moved_bits(words, index, self.k ** (p - 1))
+                words = words.take(one.column, axis=self.axes - p)
+            elif p:  # one shift and one AND per step of the place's kernel
+                (shift, by, mask), *rest = one.kernels[p - 1]
+                moved = shift(words, by)
+                moved &= mask
+                for shift, by, mask in rest:
+                    part = shift(words, by)
+                    part &= mask
+                    moved |= part
+                words = moved
         return words
 
     def with_edge(self, moves: Sequence[tuple], places: tuple[int, ...]) -> _Cells:
@@ -504,7 +516,7 @@ class _Cells:
         words = self.shifted(moves[0], places)
         for move in moves[1:]:
             words |= self.shifted(move, places)
-        return _Cells(self.k, self.axes, words)
+        return _Cells(self.tables, self.axes, words)
 
     def hit_by(self, moves: Sequence[tuple], places: tuple[int, ...], times: int) -> bool:
         """Whether every cell is set in at least `times` of the moved arrays.
@@ -540,25 +552,13 @@ def _head(group: Group, h: int, pairs: tuple[tuple[int, int], ...]) -> _Cells:
     An edge takes every nonzero value, a set closed under negation, and sums
     commute, so solve_sumset keys this by the sorted pairs of sorted places.
     """
-    k, moves = group.order, _tables(group).moves[1:]
-    cells = _Cells(k, h, np.ones((), dtype=np.uint64))
+    tables = _tables(group)
+    cells = _Cells(tables, h, np.ones((), dtype=np.uint64))
     for pair in pairs:
-        cells = cells.with_edge(moves, pair)
+        cells = cells.with_edge(tables.moves[1:], pair)
     words = np.array(cells.words, dtype=np.uint64)  # a 0-d ufunc result is a numpy scalar
     words.flags.writeable = False
-    return _Cells(k, h, words)
-
-
-@functools.lru_cache(maxsize=64)
-def _box(group: Group, j: int) -> _Cells:
-    """Each of the k**j cells of places 1..j spread by every nonzero one-place move (read-only)."""
-    k, table = group.order, _tables(group).add
-    spread = [(table[:, c],) for c in range(1, k)]
-    box = _Cells(k, j, np.left_shift(np.uint64(1), np.arange(k**j, dtype=np.uint64)))
-    for p in range(1, j + 1):
-        box = box.with_edge(spread, (p,))
-    box.words.flags.writeable = False
-    return box
+    return _Cells(tables, h, words)
 
 
 # ---------------------------------------------------------------------------
@@ -627,24 +627,22 @@ def _first_unavoidable(
     and differs from it on every position.  So the mappings f avoids are
     f's cell of a ``_Cells`` array with one axis per position, spread along
     every axis by the |G|-1 nonzero moves.  Spreading commutes with OR, so
-    each flow ORs in the spread of its in-word digits (``box``), and the
-    outer axes are spread once at the end; the first cell left unset is
-    the first unavoidable mapping.  Adds the number of mappings settled to
-    stats["mappings_enumerated"].
+    each flow ORs in the spread of its in-word digits (``_tables``' boxes),
+    and the outer axes are spread once at the end; the first cell left
+    unset is the first unavoidable mapping.  Adds the number of mappings
+    settled to stats["mappings_enumerated"].
     """
-    k, d = group.order, len(positions)
+    k, d, tables = group.order, len(positions), _tables(group)
     inside = set(positions)
     values = [range(k) if e in inside else range(1, k) for e in s.nontree_edges]
-    spread = [(column,) for _, column in _tables(group).moves[1:]]  # every nonzero one-place move
-    j = min(d, _layout(k, 0)[0])
-    box = _box(group, j)
-    avoided = _Cells(k, d, np.zeros((k,) * (d - j), dtype=np.uint64))
+    j = min(d, tables.j)
+    avoided = _Cells(tables, d, np.zeros((k,) * (d - j), dtype=np.uint64))
     place = k ** np.arange(d - 1, -1, -1, dtype=np.int64)
     for flows in _flow_rows(g, group, s, values, CHUNK // max(g.m, 1)):
         flat = flows[:, list(positions)] @ place
-        np.bitwise_or.at(avoided.words.reshape(-1), flat // k**j, box.words[flat % k**j])
+        np.bitwise_or.at(avoided.words.reshape(-1), flat // k**j, tables.boxes[j][flat % k**j])
     for p in range(j + 1, d + 1):
-        avoided = avoided.with_edge(spread, (p,))
+        avoided = avoided.with_edge(tables.spread, (p,))
     stats["mappings_enumerated"] += k**d
     if avoided.all():
         return None
@@ -1011,7 +1009,7 @@ def _lay_out(plan: _Plan) -> tuple:
     joins: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # plain edges, by their later place
     for u, v in plain:
         joins[max(place[u], place[v])].append((place[u], place[v]))
-    h = min(_layout(k, 0)[0], n - 1)
+    h = min(_word_places(k), n - 1)
     return (
         order,
         h,

@@ -125,6 +125,17 @@ def test_cli_errors(capsys, tmp_path, k4_file):
     assert run(capsys, "frobnicate")[0] == EXIT_ERROR
 
 
+def test_cli_header_only_graph6_is_a_parse_error(capsys, tmp_path):
+    header = tmp_path / "header.g6"
+    header.write_text(">>graph6<<\n")
+    code, out, err = run(capsys, "test", "--graph", str(header), "--group", "z4")
+    assert code == EXIT_ERROR and not out
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: cannot parse graph: empty graph6 input"
+    ]
+    assert "Traceback" not in err
+
+
 def test_cli_nzflow(capsys, tmp_path, k4_file, bridge_file):
     code, out, _ = run(capsys, "nzflow", "--graph", k4_file, "--group", "z4")
     assert code == EXIT_YES

@@ -63,6 +63,8 @@ def test_parse_graph6_errors():
         parse_graph6("C")  # truncated bit string for n=4
     with pytest.raises(GraphParseError):
         parse_graph6("C~xyz")  # trailing garbage
+    with pytest.raises(GraphParseError):
+        parse_graph6(">>graph6<<")  # the header alone
 
 
 def test_graph6_round_trip_small():

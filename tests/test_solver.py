@@ -537,12 +537,12 @@ def test_automorphism_pruning_keeps_verdicts_and_certificates(monkeypatch, reque
 # -- the packed boundary array -------------------------------------------------
 
 
-def pack_cells(k: int, arr: np.ndarray) -> solver._Cells:
-    """The packed form of a bool array of shape (k,) * arr.ndim."""
-    inner = min(arr.ndim, solver._layout(k, 0)[0])
+def pack_cells(tables, arr: np.ndarray) -> solver._Cells:
+    """The packed form of a bool array of shape (k,) * arr.ndim, k the order of the group of `tables`."""
+    k, inner = len(tables.add), min(arr.ndim, tables.j)
     bits = arr.reshape(arr.shape[: arr.ndim - inner] + (k**inner,)).astype(np.uint64)
     words = np.bitwise_or.reduce(bits << np.arange(k**inner, dtype=np.uint64), axis=-1)
-    return solver._Cells(k, arr.ndim, words)
+    return solver._Cells(tables, arr.ndim, words)
 
 
 def unpack_cells(cells: solver._Cells) -> np.ndarray:
@@ -561,16 +561,21 @@ def shifted_reference(arr: np.ndarray, move, places) -> np.ndarray:
 
 
 def test_word_layout():
-    assert [solver._layout(k, 0)[0] for k in (2, 3, 4, 5, 6, 7, 8, 64)] == [6, 3, 3, 2, 2, 2, 2, 1]
-    assert [int(solver._layout(k, 9)[1]).bit_count() for k in (3, 5, 6, 7, 64)] == [27, 25, 36, 49, 64]
+    tables = {k: solver._tables(parse_group(f"z{k}")) for k in (2, 3, 4, 5, 6, 7, 8, 64)}
+    assert [t.j for t in tables.values()] == [6, 3, 3, 2, 2, 2, 2, 1]
+    assert [int(tables[k].full[-1]).bit_count() for k in (3, 5, 6, 7, 64)] == [27, 25, 36, 49, 64]
+    for k, t in tables.items():
+        assert [int(word).bit_count() for word in t.full] == [k**i for i in range(t.j + 1)], k
 
 
 @pytest.mark.parametrize("spec", PACKED_GROUPS)
 def test_packed_cells_match_bool_arrays(spec):
     group = parse_group(spec)
-    k = group.order
+    k, tables = group.order, solver._tables(group)
     rng = np.random.default_rng(k)
-    moves = [
+    moves = tables.moves
+    # the independent reference: move c takes x - c along one place and x + c along the other
+    indices = [
         (np.array([group.sub(x, c) for x in range(k)]), np.array([group.add(x, c) for x in range(k)])) for c in range(k)
     ]
     outcomes = set()
@@ -579,32 +584,32 @@ def test_packed_cells_match_bool_arrays(spec):
             break
         shape = (k,) * axes
         arr = rng.random(shape) < 0.5
-        cells = pack_cells(k, arr)
+        cells = pack_cells(tables, arr)
         assert np.array_equal(unpack_cells(cells), arr)
         grown = np.zeros((k,) + shape, dtype=bool)
         grown[0] = arr
         assert np.array_equal(unpack_cells(cells.grown()), grown)
         # every move along every pair of places, place 0 owning no axis
         for pu, pv in itertools.permutations(range(axes + 1), 2):
-            for move in moves:
-                want = shifted_reference(arr, move, (pu, pv))
-                got = solver._Cells(k, axes, cells.shifted(move, (pu, pv)))
+            for move, index in zip(moves, indices):
+                want = shifted_reference(arr, index, (pu, pv))
+                got = solver._Cells(tables, axes, cells.shifted(move, (pu, pv)))
                 assert np.array_equal(unpack_cells(got), want), (spec, axes, pu, pv)
-            sub = moves[1 : 1 + int(rng.integers(1, k))]
-            want = np.logical_or.reduce([shifted_reference(arr, move, (pu, pv)) for move in sub])
-            assert np.array_equal(unpack_cells(cells.with_edge(sub, (pu, pv))), want)
+            sub = slice(1, 1 + int(rng.integers(1, k)))
+            want = np.logical_or.reduce([shifted_reference(arr, index, (pu, pv)) for index in indices[sub]])
+            assert np.array_equal(unpack_cells(cells.with_edge(moves[sub], (pu, pv))), want)
         # all, count and first zero, on arrays with 0 to 3 cells cleared
         for cleared in range(4):
             arr = np.ones(shape, dtype=bool)
             arr.flat[rng.integers(0, arr.size, cleared)] = False
-            cells = pack_cells(k, arr)
+            cells = pack_cells(tables, arr)
             assert cells.all() == arr.all()
             assert cells.count() == np.count_nonzero(arr)
             if not arr.all():
                 assert cells.first_zero() == int(np.argmin(arr))
             # at least `times` of the |G|-1 nonzero moves hit every cell
             pu, pv = (int(p) for p in rng.choice(axes + 1, 2, replace=False))
-            hits = sum(shifted_reference(arr, move, (pu, pv)).astype(int) for move in moves[1:])
+            hits = sum(shifted_reference(arr, index, (pu, pv)).astype(int) for index in indices[1:])
             for times in range(1, k):
                 want = bool((hits >= times).all())
                 assert cells.hit_by(moves[1:], (pu, pv), times) == want, (spec, axes, times)
@@ -615,16 +620,15 @@ def test_packed_cells_match_bool_arrays(spec):
 @pytest.mark.parametrize("spec", ["z2", "z3", "z4", "z2^2", "z8", "z64"])
 def test_cached_head_matches_the_edge_by_edge_build(spec):
     group = parse_group(spec)
-    k, j = group.order, solver._layout(group.order, 0)[0]
-    table = solver._tables(group).add
-    moves = [(table[:, group.neg(c)], table[:, c]) for c in range(1, k)]
+    tables = solver._tables(group)
+    k, j, moves = group.order, tables.j, tables.moves[1:]
     rng = random.Random(f"head {spec}")
     for _ in range(30):
         h = rng.randint(1, j)
         pairs = [tuple(rng.sample(range(h + 1), 2)) for _ in range(rng.randint(0, 2 * h + 2))]
         pairs += [rng.choice([p, p[::-1]]) for p in pairs[: rng.randint(0, len(pairs))]]  # parallel pairs
         rng.shuffle(pairs)
-        want = solver._Cells(k, 0, np.ones((), dtype=np.uint64))
+        want = solver._Cells(tables, 0, np.ones((), dtype=np.uint64))
         for _ in range(h):
             want = want.grown()
         for pair in pairs:
@@ -633,10 +637,10 @@ def test_cached_head_matches_the_edge_by_edge_build(spec):
         assert (head.axes, int(head.words)) == (h, int(want.words)), (h, pairs)
         with pytest.raises(ValueError):
             head.words |= np.uint64(1)
-    box = solver._box(group, j)
-    assert len(box.words) == k**j
-    with pytest.raises(ValueError):
-        box.words |= np.uint64(1)
+    assert [len(box) for box in tables.boxes] == [k**i for i in range(j + 1)]
+    for box in tables.boxes:
+        with pytest.raises(ValueError):
+            box |= np.uint64(1)
 
 
 def test_sumset_head_key_ignores_edge_orientation():
@@ -698,9 +702,14 @@ def test_auto_checks_the_sumset_limit_per_reduced_component(monkeypatch):
 
 
 def clear_memos():
-    """Clear every cache of the solver and the graph layer, found by introspection so none is left out."""
+    """Clear every cache of the solver and the graph layer, found by introspection so none is left out.
+
+    The solver keeps its memos only as these four caches, so a clear is a
+    cold start: no module-level dict may hold what a cache_clear misses.
+    """
     memos = {f for module in (solver, groupconn.graphs) for f in vars(module).values() if hasattr(f, "cache_clear")}
-    assert {solver._plan, solver._tables} <= memos
+    assert memos == {solver._plan, solver._tables, solver._head, solver._fixers}
+    assert not [name for name, value in vars(solver).items() if isinstance(value, dict) and not name.startswith("__")]
     for memo in memos:
         memo.cache_clear()
 
@@ -750,7 +759,9 @@ def test_structure_memos_never_carry_one_groups_arithmetic_into_another():
     for name in ("thread4", "cycle4", "forced"):
         assert want[name, Z4].certificate != want[name, Z2xZ2].certificate, name
     assert len({want["forced8", group].certificate for group in order8}) == 3
-    assert not any(column.flags.writeable for move in solver._tables(Z4).moves for column in move)
+    ones = [one for move in solver._tables(Z4).moves for one in move]
+    steps = [step for one in ones for kernel in one.kernels for step in kernel]  # (shift, by, mask)
+    assert not any(a.flags.writeable for a in [one.column for one in ones] + [a for step in steps for a in step[1:]])
     assert "deleted saturated thread of length 3" in want["forced", Z4].preprocessing
     assert "deleted saturated thread of length 7" in want["forced8", order8[0]].preprocessing
     assert want["forced", Z4].algorithm == "sumset" and want["petersen", Z4].algorithm == "sumset"
