@@ -10,7 +10,7 @@ checkouts, alternating which goes first, and the record counts the pairs
 each end-to-end metric won.  Per side it stores the source hash, every
 run, and the median and quartiles of every end-to-end metric.
 
-Two ungated extras are measured per pair and side, each in a fresh
+Three ungated extras are measured per pair and side, each in a fresh
 process, with ``decide`` (auto) over z4 and z2^2:
 
 * the fixture probe: the 15-vertex witness fixture of ``data/``, with the
@@ -19,7 +19,12 @@ process, with ``decide`` (auto) over z4 and z2^2:
   added = 3 search of ``data/cubic12_all.g6`` (4^11-cell boundary
   arrays), with the milliseconds and minor page faults per decide, the
   process's peak RSS once the task list and graphs are built, and its
-  peak RSS at the end.
+  peak RSS at the end;
+* the witness probe: the census witnesses among tasks 57, 58, 86, 120 and
+  223 of that search (223 is z2^2-YES / z4-NO, the others z4-YES / z2^2-NO),
+  each examined as the search does, with the seconds of its two decides,
+  of ``verify_certificate`` on the NO side and of the ``naive`` decide that
+  cross-checks the YES side, and the process's peak RSS.
 
 The record goes to BENCH_<label>.json in this checkout's root.  Exit
 status 2 means a run failed to produce its result line.
@@ -41,6 +46,7 @@ FIXTURE = Path("data") / "witness_z22_yes_z4_no.json"
 FIXTURE_GROUPS = ("z4", "z2^2")
 CENSUS_BASES = Path("data") / "cubic12_all.g6"
 CENSUS_TASKS = 100
+WITNESS_TASKS = (57, 58, 86, 120, 223)
 
 
 def fixture_probe(root: Path) -> None:
@@ -61,15 +67,21 @@ def fixture_probe(root: Path) -> None:
     print(json.dumps(out))
 
 
-def census_probe(root: Path) -> None:
-    """Decide the census slice of checkout `root` for both groups; print one JSON line."""
+def census_tasks(root: Path) -> list:
+    """The tasks of the seed-7, distinct-edge, added = 3 census search, from checkout `root`'s own source."""
     sys.path.insert(0, str(root / "src"))
-    from groupconn.groups import parse_group
     from groupconn.search import SearchConfig, _tasks, load_bases
-    from groupconn.solver import decide
 
     config = SearchConfig(added=range(3, 4), order="random", seed=7, distinct_edges_only=True)
-    graphs = [task.build() for task in _tasks(load_bases(str(root / CENSUS_BASES)), config)[:CENSUS_TASKS]]
+    return _tasks(load_bases(str(root / CENSUS_BASES)), config)
+
+
+def census_probe(root: Path) -> None:
+    """Decide the census slice of checkout `root` for both groups; print one JSON line."""
+    graphs = [task.build() for task in census_tasks(root)[:CENSUS_TASKS]]
+    from groupconn.groups import parse_group
+    from groupconn.solver import decide
+
     groups = [parse_group(spec) for spec in FIXTURE_GROUPS]
     before = resource.getrusage(resource.RUSAGE_SELF)
     t0 = time.perf_counter()
@@ -85,6 +97,38 @@ def census_probe(root: Path) -> None:
         "rss_before_decides_mb": before.ru_maxrss / 1024.0,
         "peak_rss_mb": after.ru_maxrss / 1024.0,
     }))
+
+
+def witness_probe(root: Path) -> None:
+    """Examine the census witnesses of checkout `root`, timing each step; print one JSON line."""
+    tasks = census_tasks(root)
+    from groupconn.groups import parse_group
+    from groupconn.solver import decide, verify_certificate
+
+    groups = [parse_group(spec) for spec in FIXTURE_GROUPS]
+    out = {}
+    for index in WITNESS_TASKS:
+        g = tasks[index].build()
+        t0 = time.perf_counter()
+        verdicts = [decide(g, group) for group in groups]
+        t1 = time.perf_counter()
+        yes, no = sorted(verdicts, key=lambda v: not v.connected)
+        if yes.connected == no.connected:
+            raise SystemExit(f"census task {index} is not a witness")
+        valid = verify_certificate(g, no.group, no.certificate)
+        t2 = time.perf_counter()
+        crosschecked = decide(g, yes.group, "naive").connected
+        t3 = time.perf_counter()
+        out[str(index)] = {
+            "yes": yes.group.spec_string(),
+            "certificate_valid": valid,
+            "crosschecked": crosschecked,
+            "decide_s": t1 - t0,
+            "verify_s": t2 - t1,
+            "naive_s": t3 - t2,
+        }
+    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(json.dumps(out))
 
 
 def run_checked(cmd: list[str], cwd: Path) -> list[str]:
@@ -127,12 +171,16 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, help="checkout of the parent commit to alternate with")
     ap.add_argument("--fixture-probe", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--census-probe", type=Path, help=argparse.SUPPRESS)
+    ap.add_argument("--witness-probe", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.fixture_probe:
         fixture_probe(args.fixture_probe)
         return 0
     if args.census_probe:
         census_probe(args.census_probe)
+        return 0
+    if args.witness_probe:
+        witness_probe(args.witness_probe)
         return 0
     if not args.label:
         ap.error("--label is required")
@@ -143,6 +191,7 @@ def main(argv=None) -> int:
     runs = {side: {w: [] for w in workloads} for side in sides}
     fixtures = {side: [] for side in sides}
     censuses = {side: [] for side in sides}
+    witnesses = {side: [] for side in sides}
     try:
         for seed in range(1, args.pairs + 1):
             order = list(sides) if seed % 2 else list(reversed(sides))
@@ -154,6 +203,7 @@ def main(argv=None) -> int:
             for side in order:
                 fixtures[side].append(probe_run(sides[side], "--fixture-probe"))
                 censuses[side].append(probe_run(sides[side], "--census-probe"))
+                witnesses[side].append(probe_run(sides[side], "--witness-probe"))
     except RuntimeError as exc:
         print(f"bench error: {exc}", file=sys.stderr)
         return 2
@@ -191,6 +241,11 @@ def main(argv=None) -> int:
         keys = ("ms_per_decide", "minflt_per_decide", "rss_before_decides_mb", "peak_rss_mb")
         out["census"] = {key: summary([c[key] for c in cs]) for key in keys}
         out["census"] |= {"decides": cs[0]["decides"], "yes": [c["yes"] for c in cs]}
+        ws = witnesses[side]
+        out["witness"] = {"peak_rss_mb": summary([w["peak_rss_mb"] for w in ws])}
+        for task in map(str, WITNESS_TASKS):
+            runs_of = {key: [w[task][key] for w in ws] for key in ws[0][task]}
+            out["witness"][task] = {key: summary(v) if key.endswith("_s") else v for key, v in runs_of.items()}
         record["sides"][side] = out
     if args.parent:
         wins = {}

@@ -28,8 +28,9 @@ tree.  The kernel builds the flows as rows of element indices, reading
 each fundamental cycle's values from one signed cycle matrix and adding
 them through the Cayley table, and marks the mappings they avoid in a
 bit array, one bit per mapping: the ``_Cells`` array that also holds the
-sumset's boundaries, in which the mappings a flow avoids are its own
-cell spread along every axis by the nonzero moves.  ``avoiding_flow``
+sumset's boundaries.  The mappings a flow avoids are the cells that
+differ from its own on every axis, spread by comparing digits and by
+rotating axes, with none of the sumset's moves.  ``avoiding_flow``
 (behind ``verify_certificate``) scans the same flow rows against a
 single mapping.  Only ``solve_fast`` packs group elements into bit
 lanes.  The first three engines are kept as reference oracles.
@@ -43,8 +44,8 @@ without preprocessing, else sumset on every reduced component.
 One read-only plan per graph value and order (``_plan``) holds the thread
 walk, preprocess's reduction, the sumset layout and the spanning structure
 every flow check reads; one read-only table set per group (``_tables``)
-holds the Cayley table, signed multiples, automorphisms and the bit
-array's word layout, element moves and naive's boxes.  So a decide
+holds the Cayley table, signed multiples, automorphisms, the bit array's
+word layout and element moves, and naive's in-word boxes.  So a decide
 computes only its group's values and does its array work.  With the
 bounded ``_head`` and ``_fixers`` they are the solver's only memos.
 """
@@ -351,8 +352,7 @@ class _Tables(NamedTuple):
     automorphisms: tuple[tuple[int, ...], ...]  # each a tuple of element indices: sigma[a]
     j: int  # _word_places of the order
     full: tuple[np.ndarray, ...]  # [i] is the word of the k**i live cells of i <= j in-word axes
-    spread: tuple[tuple[_Move], ...]  # every nonzero one-place move
-    boxes: tuple[np.ndarray, ...]  # [i]: naive's box, each of the k**i cells of places 1..i spread along all i
+    boxes: tuple[np.ndarray, ...]  # [i][x]: the word of the cells of i in-word places that differ from x in each
 
 
 def _kernel(column: np.ndarray, stride: int, bits: int) -> tuple:
@@ -385,7 +385,12 @@ def _tables(group: Group) -> _Tables:
     add = np.array([[group.add(a, b) for b in range(k)] for a in range(k)], dtype=np.uint8)
     signed = np.array([[0] * k, range(k), [group.neg(a) for a in range(k)]], dtype=np.intp)
     full = tuple(np.array((1 << k**i) - 1, dtype=np.uint64) for i in range(j + 1))
-    for table in (add, signed, *full):
+    boxes = []
+    for i in range(j + 1):
+        digits = np.indices((k,) * i).reshape(i, k**i)
+        differ = (digits[:, :, None] != digits[:, None, :]).all(axis=0)  # [x, y]: y differs from x in every place
+        boxes.append(np.bitwise_or.reduce(differ.astype(np.uint64) << np.arange(k**i, dtype=np.uint64), axis=1))
+    for table in (add, signed, *full, *boxes):
         table.flags.writeable = False
     by_element = tuple(_Move(add[:, c], tuple(_kernel(add[:, c], k**p, k**j) for p in range(j))) for c in range(k))
     multiples = np.zeros((k, max(group.factors) + 1), dtype=np.intp)  # [x, d] is d * x
@@ -402,16 +407,7 @@ def _tables(group: Group) -> _Tables:
             if len(set(sigma.tolist())) == k:
                 auts.append(tuple(sigma.tolist()))
     moves = tuple((by_element[group.neg(c)], by_element[c]) for c in range(k))
-    spread = tuple((move,) for move in by_element[1:])
-    tables = _Tables(add, moves, signed, tuple(dict.fromkeys(auts)), j, full, spread, ())  # the boxes follow
-    boxes = []
-    for i in range(j + 1):
-        box = _Cells(tables, i, np.left_shift(np.uint64(1), np.arange(k**i, dtype=np.uint64)))
-        for p in range(1, i + 1):
-            box = box.with_edge(tables.spread, (p,))
-        box.words.flags.writeable = False
-        boxes.append(box.words)
-    return tables._replace(boxes=tuple(boxes))
+    return _Tables(add, moves, signed, tuple(dict.fromkeys(auts)), j, full, tuple(boxes))
 
 
 # ---------------------------------------------------------------------------
@@ -625,24 +621,29 @@ def _first_unavoidable(
     significant digit; `positions` must hold every tree edge.  Such a
     mapping is avoided by flow f exactly when f is nonzero off `positions`
     and differs from it on every position.  So the mappings f avoids are
-    f's cell of a ``_Cells`` array with one axis per position, spread along
-    every axis by the |G|-1 nonzero moves.  Spreading commutes with OR, so
-    each flow ORs in the spread of its in-word digits (``_tables``' boxes),
-    and the outer axes are spread once at the end; the first cell left
-    unset is the first unavoidable mapping.  Adds the number of mappings
-    settled to stats["mappings_enumerated"].
+    the cells of a ``_Cells`` array, one axis per position, that differ
+    from f's cell on every axis.  That spread commutes with OR, so each
+    flow ORs in the box of its in-word digits (``_tables``' boxes), and
+    each outer axis is spread once at the end, with no group move.  The
+    first cell left unset is the first unavoidable mapping.  Adds the
+    number of mappings settled to stats["mappings_enumerated"].
     """
     k, d, tables = group.order, len(positions), _tables(group)
     inside = set(positions)
     values = [range(k) if e in inside else range(1, k) for e in s.nontree_edges]
     j = min(d, tables.j)
-    avoided = _Cells(tables, d, np.zeros((k,) * (d - j), dtype=np.uint64))
+    words = np.zeros((k,) * (d - j), dtype=np.uint64)
     place = k ** np.arange(d - 1, -1, -1, dtype=np.int64)
     for flows in _flow_rows(g, group, s, values, CHUNK // max(g.m, 1)):
         flat = flows[:, list(positions)] @ place
-        np.bitwise_or.at(avoided.words.reshape(-1), flat // k**j, tables.boxes[j][flat % k**j])
-    for p in range(j + 1, d + 1):
-        avoided = avoided.with_edge(tables.spread, (p,))
+        np.bitwise_or.at(words.reshape(-1), flat // k**j, tables.boxes[j][flat % k**j])
+    rotations = [(np.arange(k) + r) % k for r in range(1, k)]
+    for axis in range(d - j):  # a cell takes the OR of the other cells of its axis
+        spread = words.take(rotations[0], axis=axis)
+        for rotation in rotations[1:]:
+            spread |= words.take(rotation, axis=axis)
+        words = spread
+    avoided = _Cells(tables, d, words)
     stats["mappings_enumerated"] += k**d
     if avoided.all():
         return None
@@ -1195,5 +1196,4 @@ def decide(
             stats["elapsed_total"] = time.perf_counter() - t0
             return Verdict(g, group, False, cert, v.algorithm, stats, inst.steps)
     stats["elapsed_total"] = time.perf_counter() - t0
-    algo = algorithm if inst.components else "preprocess"
-    return Verdict(g, group, True, None, algo, stats, inst.steps)
+    return Verdict(g, group, True, None, v.algorithm if inst.components else "preprocess", stats, inst.steps)

@@ -51,13 +51,17 @@ def test_cli_test_no_with_certificate(capsys, bridge_file):
 
 
 def test_cli_test_algo_and_no_preprocess(capsys, k4_file):
-    for algo in ("ultra", "naive", "fast", "sumset"):
-        code, out, _ = run(capsys, "test", "--graph", k4_file, "--group", "z2^2", "--algo", algo)
-        assert json.loads(out)["connected"] == (code == EXIT_YES)
+    # every engine reports its own name on YES (K4 over z4) and on NO (over z3)
+    engines = {"ultra": "ultra-naive", "naive": "naive", "fast": "fast", "sumset": "sumset", "auto": "sumset"}
+    for algo, name in engines.items():
+        for spec, want in (("z4", EXIT_YES), ("z3", EXIT_NO), ("z2^2", EXIT_YES)):
+            code, out, _ = run(capsys, "test", "--graph", k4_file, "--group", spec, "--algo", algo)
+            payload = json.loads(out)
+            assert (code, payload["connected"], payload["algorithm"]) == (want, want == EXIT_YES, name), (algo, spec)
     code, out, _ = run(
         capsys, "test", "--graph", k4_file, "--group", "z2^2", "--algo", "ultra", "--no-preprocess"
     )
-    assert code in (EXIT_YES, EXIT_NO)
+    assert code == EXIT_YES and json.loads(out)["algorithm"] == "ultra-naive"
 
 
 VERDICT_KEYS = {"group", "connected", "certificate", "algorithm", "stats", "preprocessing"}

@@ -293,9 +293,16 @@ def first_unavoidable_scalar(g, group, positions):
     return None
 
 
-def test_oracle_certificates_match_scalar_brute_force():
+def test_oracle_certificates_match_scalar_brute_force(monkeypatch):
     # word layouts j = 6 (z2), 3 (z3, z4, z2^2) and 2 (z5, c:2,3); the two 4-cycles have
     # certificates that change when read in reverse, so they pin the digit order
+    def no_moves(*args):
+        raise AssertionError("an oracle moved a _Cells array with a sumset move")
+
+    # from cold tables, so their build moves no _Cells either
+    clear_memos()
+    monkeypatch.setattr(solver._Cells, "shifted", no_moves)
+    monkeypatch.setattr(solver._Cells, "with_edge", no_moves)
     square = ((0, 1), (0, 2), (2, 3), (1, 3))
     for g in itertools.chain(small_connected_multigraphs(), [Digraph(4, square), Digraph(4, square + ((0, 1),))]):
         core = [e for e, (u, v) in enumerate(g.edges) if u != v]
@@ -638,7 +645,12 @@ def test_cached_head_matches_the_edge_by_edge_build(spec):
         with pytest.raises(ValueError):
             head.words |= np.uint64(1)
     assert [len(box) for box in tables.boxes] == [k**i for i in range(j + 1)]
-    for box in tables.boxes:
+    for i, box in enumerate(tables.boxes):
+        # the reference: each in-word cell spread over places 1..i by the nonzero moves
+        want = solver._Cells(tables, i, np.left_shift(np.uint64(1), np.arange(k**i, dtype=np.uint64)))
+        for p in range(1, i + 1):
+            want = want.with_edge([(move,) for _, move in moves], (p,))
+        assert np.array_equal(box, want.words), (spec, i)
         with pytest.raises(ValueError):
             box |= np.uint64(1)
 
